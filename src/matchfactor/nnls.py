@@ -7,10 +7,27 @@ the passive (free) and active (clamped-at-zero) sets, falling back to a
 single-variable exchange on the largest-index infeasible entry whenever a
 column stops making progress, which prevents cycling.
 
-Passive-set systems are solved with a tiny ridge (1e-12 * trace(gram) / n)
-so momentarily collinear columns do not abort the caller; once the pivoting
-has settled, each final passive set is re-solved without the ridge so the
-returned solution certifies the original problem.
+Each pivoting round solves the passive-set systems of all pending columns in
+one batched ``np.linalg.solve``: column ``j``'s system is ``gram`` restricted
+to its passive set and padded to ``n x n`` with identity rows and columns, so
+the solution is zero off the passive set.  Columns are not grouped by
+passive-set pattern: at the small ``n`` of a CP fit one padded solve per
+column costs less than finding the distinct patterns.
+
+Pivoting starts from an empty passive set (a cold start) or from a given one
+(a warm start).  In alternating least squares the previous solution's
+support is usually close to the new one, so a warm start settles in fewer
+rounds.  When ``gram`` is positive definite the NNLS solution is unique and
+a warm start changes only the pivoting path, not the answer.  Variables
+whose Gram diagonal is zero never start passive.
+
+Systems solved during pivoting carry a tiny ridge (1e-12 * trace(gram) / n)
+so momentarily collinear columns do not abort the caller.  Once the pivoting
+has settled, every passive set last solved with the ridge is re-solved
+without it, so the returned solution certifies the original problem.  The
+warm start's own systems are solved like this polish, without the ridge
+unless one is singular, so a column that needs no pivoting is final after a
+single solve.
 """
 
 from __future__ import annotations
@@ -90,38 +107,33 @@ def kkt_residual(problem: NnlsProblem, x: np.ndarray) -> float:
     return max(primal, dual, slack)
 
 
-def _solve_passive(
-    gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Solve gram[F,F] z_F = rhs[F, col] per column, grouping equal patterns."""
+def _solve_passive(gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray) -> np.ndarray:
+    """Solve ``gram[F, F] z_F = rhs[F, j]``, ``z = 0`` off ``F = passive[:, j]``, per column."""
     n = gram.shape[0]
-    out = np.zeros((n, cols.size))
-    if cols.size == 0:
-        return out
-    patterns = passive[:, cols]
-    # group columns sharing a passive-set pattern so each system is solved once
-    _, first, inverse = np.unique(
-        patterns.T, axis=0, return_index=True, return_inverse=True
-    )
-    inverse = np.asarray(inverse).ravel()
-    for g, lead in enumerate(first):
-        members = np.flatnonzero(inverse == g)
-        free = np.flatnonzero(patterns[:, lead])
-        if free.size == 0:
-            continue
-        sub = gram[np.ix_(free, free)]
-        try:
-            sol = np.linalg.solve(sub, rhs[np.ix_(free, cols[members])])
-        except np.linalg.LinAlgError as exc:
-            raise NumericallySingular(
-                f"passive-set system of size {free.size} is singular"
-            ) from exc
-        out[np.ix_(free, members)] = sol
-    return out
+    cols = passive.T
+    systems = np.where(cols[:, :, None] & cols[:, None, :], gram, np.eye(n))
+    try:
+        z = np.linalg.solve(systems, np.where(cols, rhs.T, 0.0)[:, :, None])
+    except np.linalg.LinAlgError as exc:
+        raise NumericallySingular("a passive-set system is singular") from exc
+    return z[:, :, 0].T
+
+
+def _passive_step(gram, system, rhs, passive, zero_tol):
+    """Passive-set solution ``x`` of ``system`` (``gram``, with or without the
+    ridge) and gradient ``y = gram @ x - rhs``, tiny entries zeroed."""
+    x = _solve_passive(system, rhs, passive)
+    y = gram @ x - rhs
+    x[np.abs(x) < zero_tol] = 0.0
+    y[np.abs(y) < zero_tol] = 0.0
+    return x, y
 
 
 def solve_nnls_bpp(
-    problem: NnlsProblem, tol: float = 1e-8, max_iter: int = 500
+    problem: NnlsProblem,
+    tol: float = 1e-8,
+    max_iter: int = 500,
+    passive: np.ndarray | None = None,
 ) -> NnlsSolution:
     """Solve every column of the NNLS problem by block principal pivoting.
 
@@ -134,6 +146,9 @@ def solve_nnls_bpp(
         Absolute KKT tolerance the returned solution is certified against.
     max_iter : int
         Bound on pivoting rounds; exceeded only by pathological cycling.
+    passive : bool array of shape ``rhs.shape``, optional
+        Initial passive set (True = free variable), e.g. the support of a
+        previous solution.  ``None`` starts from the empty set.
 
     Raises
     ------
@@ -152,9 +167,27 @@ def solve_nnls_bpp(
     gram_reg = gram + ridge * np.eye(n)
     zero_tol = 1e-12 * max(1.0, float(np.abs(rhs).max(initial=0.0)))
 
-    x = np.zeros((n, m))
-    y = -rhs.copy()
-    passive = np.zeros((n, m), dtype=bool)
+    if passive is None:
+        passive = np.zeros((n, m), dtype=bool)
+        x = np.zeros((n, m))
+        y = -rhs
+        ridged = np.zeros(m, dtype=bool)
+    else:
+        passive = np.asarray(passive, dtype=bool)
+        if passive.shape != (n, m):
+            raise ValueError(
+                f"passive shape {passive.shape} does not match rhs shape {(n, m)}"
+            )
+        # A variable whose Gram column is zero stays at zero: freeing it would
+        # make the all-zero Gram matrix (whose ridge is zero) singular.
+        passive = passive & (np.diag(gram) > 0)[:, None]
+        # solved like the polish, so columns that need no pivoting are final
+        try:
+            x, y = _passive_step(gram, gram, rhs, passive, zero_tol)
+            ridged = np.zeros(m, dtype=bool)
+        except NumericallySingular:
+            x, y = _passive_step(gram, gram_reg, rhs, passive, zero_tol)
+            ridged = np.ones(m, dtype=bool)
     budget = np.full(m, _FULL_EXCHANGE_BUDGET)
     best_infeasible = np.full(m, n + 1)
 
@@ -173,32 +206,33 @@ def solve_nnls_bpp(
             )
 
         improved = n_bad[pending] < best_infeasible[pending]
-        full_cols = pending[improved | (budget[pending] >= 1)]
+        full = improved | (budget[pending] >= 1)
+        full_cols = pending[full]
         progressed = pending[improved]
         budget[progressed] = _FULL_EXCHANGE_BUDGET
         best_infeasible[progressed] = n_bad[progressed]
-        budget[pending[~improved & (budget[pending] >= 1)]] -= 1
+        budget[pending[~improved & full]] -= 1
 
         # full exchange: flip every infeasible variable at once
         flip = bad_x | bad_y
         passive[:, full_cols] ^= flip[:, full_cols]
         # backup rule: flip only the largest-index infeasible variable
-        for col in np.setdiff1d(pending, full_cols, assume_unique=True):
+        for col in pending[~full]:
             row = int(np.flatnonzero(flip[:, col]).max())
             passive[row, col] = not passive[row, col]
 
-        x[:, pending] = _solve_passive(gram_reg, rhs, passive, pending)
-        y[:, pending] = gram @ x[:, pending] - rhs[:, pending]
-        x[np.abs(x) < zero_tol] = 0.0
-        y[np.abs(y) < zero_tol] = 0.0
+        x[:, pending], y[:, pending] = _passive_step(
+            gram, gram_reg, rhs[:, pending], passive[:, pending], zero_tol
+        )
+        ridged[pending] = True
 
-    # polish: re-solve the settled passive sets without the ridge so the
-    # certificate holds for the original gram
-    all_cols = np.arange(m)
+    # polish: re-solve the settled passive sets last solved with the ridge
+    # without it, so the certificate holds for the original gram
+    cols = np.flatnonzero(ridged)
     try:
-        x = _solve_passive(gram, rhs, passive, all_cols)
+        x[:, cols] = _solve_passive(gram, rhs[:, cols], passive[:, cols])
     except NumericallySingular:
-        x = _solve_passive(gram_reg, rhs, passive, all_cols)
+        x[:, cols] = _solve_passive(gram_reg, rhs[:, cols], passive[:, cols])
     x[np.abs(x) < zero_tol] = 0.0
     np.maximum(x, 0.0, out=x)
 

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
 
 from .decompose import FactorModel
 from .errors import ConstantColumn, EmptyClusterUnrecoverable
@@ -425,6 +424,9 @@ def welch_t_test(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     zero pooled variance return ``(0, 1)`` when the means agree and
     ``(+/-inf, 0)`` with a warning otherwise.
     """
+    # imported on use: loading scipy costs every CLI launch a third of a second
+    from scipy.special import stdtr
+
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.size < 2 or y.size < 2:

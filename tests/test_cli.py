@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import matchfactor
 from matchfactor.cli import main
 
 CSV_FIXTURE = """player_id,match_index,assists,deaths,kills,gold,winner,arena_id
@@ -53,6 +58,22 @@ def synth_and_ingest(tmp_path, spec=None, seed=None):
         == 0
     )
     return out
+
+
+class TestStartup:
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is imported only by the functions that use it, so a stage
+        # that never calls them does not pay for loading it at startup
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(matchfactor.__file__).parents[1]), env.get("PYTHONPATH")) if p
+        )
+        probe = "import sys, matchfactor.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestIngest:

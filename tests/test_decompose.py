@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,28 @@ class TestDecompose:
             model = decompose(t, 2, DecomposeConfig(n_restarts=1, max_outer_iters=60))
             hist = np.array(model.objective_history)
             assert (np.diff(hist) <= 1e-10).all()
+
+    def test_objective_history_is_the_dense_fit(self):
+        # the sweep's fit comes from the Gram identity; a fit stopped after
+        # s sweeps reproduces history[:s] and holds the factors of sweep s
+        t, _ = planted_tensor(dims=(20, 4, 12), seed=8)
+        t = t + 0.05 * np.random.default_rng(8).random(t.shape)
+        cfg = DecomposeConfig(n_restarts=1, max_outer_iters=25)
+        history = decompose(t, 3, cfg).objective_history
+        assert min(history) > 1e-2
+        for sweeps, fit in enumerate(history, start=1):
+            model = decompose(t, 3, dataclasses.replace(cfg, max_outer_iters=sweeps))
+            dense = np.linalg.norm(t - model.reconstruct()) / np.linalg.norm(t)
+            assert abs(fit - dense) <= 1e-12
+            assert model.objective_history == history[:sweeps]
+
+    def test_exact_fit_crosses_to_dense_residual(self):
+        t, _ = planted_tensor(seed=21)
+        model = decompose(t, 3, DecomposeConfig(n_restarts=1))
+        hist = np.array(model.objective_history)
+        assert hist.max() > 1e-4 > model.fit
+        assert model.fit <= 1e-6
+        assert (np.diff(hist) <= 1e-10).all()
 
     def test_reconstruct_matches_triple_loop(self):
         t, _ = planted_tensor(dims=(6, 3, 5), rank=2, seed=5)
@@ -221,8 +245,6 @@ class TestSelectBestModel:
     def test_tie_breaks_by_fit_then_seed(self):
         _, truth = planted_tensor(dims=(6, 4, 5), rank=2, seed=2)
         t = truth.reconstruct()
-        import dataclasses
-
         a = dataclasses.replace(truth, fit=0.2, seed=5)
         b = dataclasses.replace(truth, fit=0.1, seed=9)
         c = dataclasses.replace(truth, fit=0.1, seed=7)

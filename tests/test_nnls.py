@@ -135,3 +135,54 @@ class TestKktResidual:
         prob = NnlsProblem(np.eye(2), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="shape"):
             kkt_residual(prob, np.zeros((3, 1)))
+
+
+class TestWarmStart:
+    """A warm start (initial passive set) changes the pivoting path, not the answer."""
+
+    @staticmethod
+    def warm_problems(rng, kind):
+        g = rng.standard_normal((8, 4))
+        if kind == "rank-deficient":
+            # zero columns, as a dead ANLS component gives: the Gram matrix is
+            # singular but the solution stays unique (zero on those columns)
+            g[:, rng.choice(4, size=rng.integers(1, 3), replace=False)] = 0.0
+        elif kind == "zero":
+            g[:] = 0.0
+        y = 2.0 * rng.standard_normal((8, 3))
+        return NnlsProblem(g.T @ g, g.T @ y)
+
+    @pytest.mark.parametrize("kind", ["positive-definite", "rank-deficient", "zero"])
+    def test_matches_enumeration_from_random_passive_sets(self, kind):
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            prob = self.warm_problems(rng, kind)
+            passive = rng.random(prob.rhs.shape) < 0.5
+            sol = solve_nnls_bpp(prob, passive=passive)
+            assert sol.kkt_residual <= 1e-8
+            for col in range(prob.m):
+                expect = nnls_by_enumeration(prob.gram, prob.rhs[:, col])
+                np.testing.assert_allclose(sol.x[:, col], expect, rtol=0, atol=1e-8)
+            if kind == "positive-definite":
+                cold = solve_nnls_bpp(prob)
+                np.testing.assert_allclose(sol.x, cold.x, rtol=0, atol=1e-10)
+
+    def test_exact_passive_set_needs_no_pivoting(self):
+        rng = np.random.default_rng(42)
+        prob = self.warm_problems(rng, "positive-definite")
+        cold = solve_nnls_bpp(prob)
+        warm = solve_nnls_bpp(prob, passive=cold.x > 0)
+        assert warm.iterations == 0
+        np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-12)
+
+    def test_caller_passive_set_left_unchanged(self):
+        rng = np.random.default_rng(43)
+        prob = self.warm_problems(rng, "positive-definite")
+        passive = np.ones(prob.rhs.shape, dtype=bool)
+        solve_nnls_bpp(prob, passive=passive)
+        assert passive.all()
+
+    def test_rejects_passive_shape_mismatch(self):
+        prob = NnlsProblem(np.eye(2), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="passive shape"):
+            solve_nnls_bpp(prob, passive=np.ones((2, 2), dtype=bool))
