@@ -14,7 +14,6 @@ from .data import (
     FEATURES,
     Dataset,
     IngestResult,
-    MatchRecord,
     NormalizedTensor,
     denormalize,
     ingest,

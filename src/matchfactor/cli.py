@@ -461,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--out-dir", default=default_out, help="artifact directory")
-        p.add_argument("--threads", type=int, default=1, help="restart parallelism")
 
     p_ingest = sub.add_parser("ingest", help="read match records, build the tensor")
     p_ingest.add_argument("--input", required=True, help="input file path")
@@ -485,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--tol", type=float, default=1e-8)
     p_scan.add_argument("--max-iters", type=int, default=500)
+    p_scan.add_argument("--threads", type=int, default=1, help="restart parallelism")
     add_common(p_scan)
     p_scan.set_defaults(func=cmd_rank_scan)
 
@@ -500,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--kde-mode", choices=["player-mean", "raw"], default="player-mean"
     )
+    p_an.add_argument("--threads", type=int, default=1, help="restart parallelism")
     add_common(p_an)
     p_an.set_defaults(func=cmd_analyze)
 

@@ -22,6 +22,10 @@ Only records in the configured arena count.  A player is retained when the
 records with ``match_index < n_matches`` form a complete history
 ``0 .. n_matches-1`` (players with longer histories are truncated to their
 first ``n_matches`` matches); everyone else is dropped and counted.
+
+Each reader yields raw rows, parsed in chunks into columns; ``ingest``
+applies the retention rule to the columns and scatters the kept rows into
+the dense arrays of a ``Dataset``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import csv
 import json
 import logging
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -50,121 +55,52 @@ CSV_HEADER = (
     "arena_id",
 )
 
-
-@dataclass(frozen=True)
-class MatchRecord:
-    """One player's performance in one match.
-
-    Counts are integers in canonical data; synthetic datasets generated in
-    exact mode may carry fractional values (see ``synthetic``).
-    """
-
-    player_id: str
-    match_index: int
-    assists: float
-    deaths: float
-    kills: float
-    gold: float
-    winner: bool
-    arena_id: int
+# rows parsed at once: bounds the raw values held while reading
+_CHUNK = 8192
 
 
-def _validate_record(rec: MatchRecord, where: str, line: int | None) -> None:
-    if not rec.player_id:
-        raise MalformedRecord(f"{where}: empty player_id", line)
-    if rec.match_index < 0:
-        raise MalformedRecord(f"{where}: negative match_index", line)
-    for name in FEATURES:
-        value = getattr(rec, name)
-        if not np.isfinite(value) or value < 0:
-            raise MalformedRecord(f"{where}: {name} must be a non-negative number", line)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A validated, complete set of player histories.
+    """Complete histories of the retained players, as dense arrays.
 
-    ``player_ids`` fixes the player order used by every downstream tensor;
-    ``records`` is sorted by (player position, match_index).
+    ``player_ids`` fixes the player order used by every downstream tensor.
+    ``counts`` (players, 4, matches) holds the raw feature counts (integers
+    in canonical data; exact-mode synthetic datasets carry fractional
+    values, see ``synthetic``); ``winners`` (players, matches) marks the
+    matches each player won.
     """
 
-    records: tuple[MatchRecord, ...]
-    n_matches: int
-    arena_id: int
     player_ids: tuple[str, ...]
+    counts: np.ndarray
+    winners: np.ndarray
+    arena_id: int
 
     @property
     def n_players(self) -> int:
         return len(self.player_ids)
 
+    @property
+    def n_matches(self) -> int:
+        return self.counts.shape[2]
+
     def feature_counts(self) -> np.ndarray:
-        """Raw count tensor of shape (players, 4, matches)."""
-        out = np.zeros((self.n_players, len(FEATURES), self.n_matches))
-        index = {pid: i for i, pid in enumerate(self.player_ids)}
-        for rec in self.records:
-            i = index[rec.player_id]
-            out[i, :, rec.match_index] = (rec.assists, rec.deaths, rec.kills, rec.gold)
-        return out
+        """Raw count tensor of shape (players, 4, matches), as a copy."""
+        return self.counts.copy()
 
     def winner_matrix(self) -> np.ndarray:
         """Binary win/loss matrix of shape (players, matches)."""
-        out = np.zeros((self.n_players, self.n_matches))
-        index = {pid: i for i, pid in enumerate(self.player_ids)}
-        for rec in self.records:
-            out[index[rec.player_id], rec.match_index] = 1.0 if rec.winner else 0.0
-        return out
+        return self.winners.astype(np.float64)
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            for rec in self.records:
-                writer.writerow(
-                    [
-                        rec.player_id,
-                        rec.match_index,
-                        _format_count(rec.assists),
-                        _format_count(rec.deaths),
-                        _format_count(rec.kills),
-                        _format_count(rec.gold),
-                        1 if rec.winner else 0,
-                        rec.arena_id,
-                    ]
-                )
-
-    @classmethod
-    def build(
-        cls,
-        records,
-        n_matches: int,
-        arena_id: int,
-        player_order=None,
-    ) -> "Dataset":
-        """Assemble a Dataset from complete histories, validating completeness."""
-        by_player: dict[str, dict[int, MatchRecord]] = {}
-        for rec in records:
-            by_player.setdefault(rec.player_id, {})
-            if rec.match_index in by_player[rec.player_id]:
-                raise DuplicateKey(
-                    f"duplicate record for ({rec.player_id}, {rec.match_index})"
-                )
-            by_player[rec.player_id][rec.match_index] = rec
-        order = list(player_order) if player_order is not None else sorted(by_player)
-        expected = set(range(n_matches))
-        flat = []
-        for pid in order:
-            have = by_player.get(pid, {})
-            if set(have) != expected:
-                raise ValueError(
-                    f"player {pid} does not have a complete 0..{n_matches - 1} history"
-                )
-            flat.extend(have[i] for i in range(n_matches))
-        return cls(
-            records=tuple(flat),
-            n_matches=n_matches,
-            arena_id=arena_id,
-            player_ids=tuple(order),
-        )
+            wins = self.winners.astype(int).tolist()
+            for pid, counts, won in zip(self.player_ids, self.counts, wins):
+                features = [map(_format_count, series) for series in counts.tolist()]
+                matches = range(self.n_matches)
+                arena = repeat(self.arena_id)
+                writer.writerows(zip(repeat(pid), matches, *features, won, arena))
 
 
 def _format_count(value: float) -> str:
@@ -182,18 +118,9 @@ class IngestResult:
 
 def _parse_number(raw, name: str, where: str, line: int | None) -> float:
     try:
-        value = float(raw)
-    except (TypeError, ValueError):
+        return float(raw)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a JSON int beyond float
         raise MalformedRecord(f"{where}: {name} is not numeric ({raw!r})", line) from None
-    return value
-
-
-def _parse_winner(raw, where: str, line: int | None) -> bool:
-    if isinstance(raw, bool):
-        return raw
-    if str(raw) in ("0", "1"):
-        return str(raw) == "1"
-    raise MalformedRecord(f"{where}: winner must be 0 or 1 ({raw!r})", line)
 
 
 def _parse_int(raw, name: str, where: str, line: int | None) -> int:
@@ -203,39 +130,114 @@ def _parse_int(raw, name: str, where: str, line: int | None) -> int:
         raise MalformedRecord(f"{where}: {name} is not an integer ({raw!r})", line) from None
 
 
-def _record_from_mapping(row, where: str, line: int | None) -> MatchRecord:
-    missing = [k for k in CSV_HEADER if k not in row or row[k] in (None, "")]
+def _parse_row(values, where: str, line: int | None) -> tuple:
+    """Parse one row's raw fields, raising on the first invalid one (an
+    empty field counts as missing, so ``player_id`` is never empty)."""
+    missing = [k for k, v in zip(CSV_HEADER, values) if v in (None, "")]
     if missing:
         raise MalformedRecord(f"{where}: missing fields {missing}", line)
-    rec = MatchRecord(
-        player_id=str(row["player_id"]),
-        match_index=_parse_int(row["match_index"], "match_index", where, line),
-        assists=_parse_number(row["assists"], "assists", where, line),
-        deaths=_parse_number(row["deaths"], "deaths", where, line),
-        kills=_parse_number(row["kills"], "kills", where, line),
-        gold=_parse_number(row["gold"], "gold", where, line),
-        winner=_parse_winner(row["winner"], where, line),
-        arena_id=_parse_int(row["arena_id"], "arena_id", where, line),
+    pid, match_index, *counts, winner, arena = values
+    player_id = str(pid)
+    match_index = _parse_int(match_index, "match_index", where, line)
+    counts = [_parse_number(raw, name, where, line) for raw, name in zip(counts, FEATURES)]
+    if not (isinstance(winner, bool) or str(winner) in ("0", "1")):
+        raise MalformedRecord(f"{where}: winner must be 0 or 1 ({winner!r})", line)
+    winner = winner if isinstance(winner, bool) else str(winner) == "1"
+    arena = _parse_int(arena, "arena_id", where, line)
+    if match_index < 0:
+        raise MalformedRecord(f"{where}: negative match_index", line)
+    for name, value in zip(FEATURES, counts):
+        if not 0 <= value < np.inf:
+            raise MalformedRecord(f"{where}: {name} must be a non-negative number", line)
+    return (player_id, match_index, *counts, winner, arena)
+
+
+def _int_column(values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # beyond int64: compare as Python ints
+        return np.array(values, dtype=object)
+
+
+_WINNER = {"0": False, "1": True}
+
+
+def _parse_chunk(chunk, codes: dict[str, int]) -> tuple:
+    """Columns of ``(values, where, line)`` rows: player code (an index into
+    ``codes``), match index, counts (rows, 4), winner and arena.
+
+    The columns are parsed in bulk with the checks of ``_parse_row``; a
+    chunk that fails them is parsed again row by row, so the first invalid
+    row raises, with its line.
+    """
+    fields = list(zip(*(values for values, _, _ in chunk)))
+    try:
+        if any(None in col or "" in col for col in fields):
+            raise ValueError("missing field")
+        players, match_index, *counts, winner, arena = fields
+        fields = [
+            list(map(str, players)),
+            list(map(int, map(str, match_index))),
+            *(list(map(float, col)) for col in counts),
+            [w if w is True or w is False else _WINNER[str(w)] for w in winner],
+            list(map(int, map(str, arena))),
+        ]
+        block = np.array(fields[2:6])
+        if min(fields[1]) < 0 or not ((block >= 0) & (block < np.inf)).all():
+            raise ValueError("invalid field")
+    except (KeyError, TypeError, ValueError, OverflowError):
+        fields = list(zip(*(_parse_row(*row) for row in chunk)))
+    players, match_index, *counts, winner, arena = fields
+    for name in dict.fromkeys(players):
+        codes.setdefault(name, len(codes))
+    return (
+        np.fromiter(map(codes.__getitem__, players), np.int64, len(players)),
+        _int_column(match_index),
+        np.array(counts, dtype=np.float64).T,
+        np.array(winner, dtype=bool),
+        _int_column(arena),
     )
-    _validate_record(rec, where, line)
-    return rec
 
 
-def _read_csv(path) -> list[MatchRecord]:
-    records = []
+def _read_columns(rows) -> tuple:
+    """Parse ``(values, where, line)`` rows chunk by chunk into the player
+    names and the concatenated columns of ``_parse_chunk``."""
+    codes: dict[str, int] = {}
+    parts = []
+    rows = iter(rows)
+    while True:
+        chunk = []
+        try:
+            for row in rows:
+                chunk.append(row)
+                if len(chunk) == _CHUNK:
+                    break
+        finally:
+            # a reader error raised after a bad row must not hide that row
+            if chunk:
+                parts.append(_parse_chunk(chunk, codes))
+        if len(chunk) < _CHUNK:
+            break
+    if not parts:
+        return [], *[np.zeros(0, np.int64)] * 5
+    return list(codes), *(np.concatenate(col) for col in zip(*parts))
+
+
+def _csv_rows(path):
+    width = len(CSV_HEADER)
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_HEADER:
-            raise MalformedRecord(
-                f"bad CSV header: expected {','.join(CSV_HEADER)}", line=1
-            )
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_HEADER:
+            raise MalformedRecord(f"bad CSV header: expected {','.join(CSV_HEADER)}", line=1)
         for row in reader:
-            records.append(_record_from_mapping(row, "csv record", reader.line_num))
-    return records
+            if row:  # blank lines are skipped
+                # absent trailing fields count as missing, extra ones are ignored
+                row = row if len(row) == width else (row + [None] * width)[:width]
+                yield row, "csv record", reader.line_num
 
 
-def _read_json_lines(path) -> list[MatchRecord]:
-    records = []
+def _json_lines_rows(path):
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -247,20 +249,17 @@ def _read_json_lines(path) -> list[MatchRecord]:
                 raise MalformedRecord(f"invalid JSON: {exc}", line_no) from None
             if not isinstance(row, dict):
                 raise MalformedRecord("record is not an object", line_no)
-            records.append(_record_from_mapping(row, "json record", line_no))
-    return records
+            yield tuple(map(row.get, CSV_HEADER)), "json record", line_no
 
 
-def _read_riot_match_json(path) -> list[MatchRecord]:
-    """Flatten saved match-endpoint responses into per-player records."""
+def _riot_match_json_rows(path):
+    """Flatten saved match-endpoint responses into per-player rows."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     matches = doc.get("matches")
     if not isinstance(matches, list):
         raise MalformedRecord("riot-match-json file must hold a 'matches' list")
 
-    # (player, creation time, file position) -> stats; match_index assigned per
-    # player by chronological order afterwards
     staged = []
     for pos, match in enumerate(matches):
         where = f"match {pos}"
@@ -280,36 +279,26 @@ def _read_riot_match_json(path) -> list[MatchRecord]:
             if pid not in identities:
                 raise MalformedRecord(f"{where}: participant {pid} has no identity")
             stats = part.get("stats") or {}
-            row = {
-                "player_id": identities[pid],
-                "match_index": 0,  # assigned after sorting
-                "assists": stats.get("assists"),
-                "deaths": stats.get("deaths"),
-                "kills": stats.get("kills"),
-                "gold": stats.get("goldEarned"),
-                "winner": stats.get("win"),
-                "arena_id": arena,
-            }
-            missing = [k for k, v in row.items() if v is None]
-            if missing:
+            values = list(map(stats.get, ("assists", "deaths", "kills", "goldEarned", "win")))
+            if None in values:
+                missing = [k for k, v in zip(CSV_HEADER[2:7], values) if v is None]
                 raise MalformedRecord(f"{where}: missing fields {missing}")
-            staged.append((creation, pos, row))
+            staged.append((identities[pid], creation, pos, arena, values))
 
-    staged.sort(key=lambda item: (item[2]["player_id"], item[0], item[1]))
-    records = []
+    # a player's match_index is the chronological rank of the match, ties
+    # broken by file position
+    staged.sort(key=lambda item: item[:3])
     counters: dict[str, int] = {}
-    for creation, pos, row in staged:
-        player = row["player_id"]
-        row["match_index"] = counters.get(player, 0)
-        counters[player] = row["match_index"] + 1
-        records.append(_record_from_mapping(row, f"match at position {pos}", None))
-    return records
+    for player, _, pos, arena, (assists, deaths, kills, gold, win) in staged:
+        k = counters[player] = counters.get(player, -1) + 1
+        row = (player, k, assists, deaths, kills, gold, win, arena)
+        yield row, f"match at position {pos}", None
 
 
 _READERS = {
-    "csv": _read_csv,
-    "json-lines": _read_json_lines,
-    "riot-match-json": _read_riot_match_json,
+    "csv": _csv_rows,
+    "json-lines": _json_lines_rows,
+    "riot-match-json": _riot_match_json_rows,
 }
 
 
@@ -323,46 +312,52 @@ def ingest(
     """
     if fmt not in _READERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(_READERS)}")
-    raw = _READERS[fmt](path)
+    names, player, match_index, counts, winner, arena = _read_columns(_READERS[fmt](path))
+    in_arena = np.asarray(arena == arena_id, dtype=bool)
+    player, match_index = player[in_arena], match_index[in_arena]
+    # the first row whose (player, match_index) key repeats an earlier row's
+    index = match_index
+    if index.dtype == object:
+        index = np.unique(index, return_inverse=True)[1].ravel()
+    order = np.lexsort((np.arange(player.size), index, player))
+    repeats = order[1:][(np.diff(player[order]) == 0) & (np.diff(index[order]) == 0)]
+    if repeats.size:
+        row = repeats.min()
+        key = (names[player[row]], int(match_index[row]))
+        raise DuplicateKey(f"duplicate record for {key}")
 
-    in_arena = [r for r in raw if r.arena_id == arena_id]
-    seen: set[tuple[str, int]] = set()
-    for rec in in_arena:
-        key = (rec.player_id, rec.match_index)
-        if key in seen:
-            raise DuplicateKey(f"duplicate record for {key}")
-        seen.add(key)
-
-    by_player: dict[str, dict[int, MatchRecord]] = {}
-    for rec in in_arena:
-        if rec.match_index < n_matches:
-            by_player.setdefault(rec.player_id, {})[rec.match_index] = rec
-
-    expected = set(range(n_matches))
-    complete = sorted(p for p, recs in by_player.items() if set(recs) == expected)
-    dropped = len({r.player_id for r in in_arena}) - len(complete)
-    if not complete:
+    early = np.asarray(match_index < n_matches, dtype=bool)
+    history = np.bincount(player[early], minlength=len(names))
+    # keys are unique and indices non-negative: n_matches early records are
+    # exactly matches 0 .. n_matches-1
+    complete = (history == n_matches) & (history > 0)
+    retained = sorted(np.flatnonzero(complete).tolist(), key=names.__getitem__)
+    dropped = np.count_nonzero(np.bincount(player, minlength=len(names))) - len(retained)
+    if not retained:
         raise NoPlayersRetained(
             f"no player has a complete 0..{n_matches - 1} history in arena {arena_id}"
         )
     if dropped:
         logger.warning("dropped %d players with incomplete histories", dropped)
 
-    flat = []
-    for pid in complete:
-        flat.extend(by_player[pid][i] for i in range(n_matches))
+    position = np.zeros(len(names), dtype=np.int64)
+    position[retained] = np.arange(len(retained))
+    rows = early & complete[player]
+    i, k = position[player[rows]], match_index[rows].astype(np.int64)
     dataset = Dataset(
-        records=tuple(flat),
-        n_matches=n_matches,
+        player_ids=tuple(names[c] for c in retained),
+        counts=np.zeros((len(retained), len(FEATURES), n_matches)),
+        winners=np.zeros((len(retained), n_matches), dtype=bool),
         arena_id=arena_id,
-        player_ids=tuple(complete),
     )
+    dataset.counts.transpose(0, 2, 1)[i, k] = counts[in_arena][rows]
+    dataset.winners[i, k] = winner[in_arena][rows]
     return IngestResult(
         dataset=dataset,
-        players_retained=len(complete),
-        players_dropped=dropped,
-        records_read=len(raw),
-        records_other_arena=len(raw) - len(in_arena),
+        players_retained=len(retained),
+        players_dropped=int(dropped),
+        records_read=arena.size,
+        records_other_arena=arena.size - int(in_arena.sum()),
     )
 
 
@@ -387,7 +382,7 @@ def normalize_minmax(dataset: Dataset, per_player: bool = False) -> NormalizedTe
     normalizes each player's series separately for sensitivity analysis.
     Constant features map to all-zeros and are flagged in ``constant_mask``.
     """
-    counts = dataset.feature_counts()
+    counts = dataset.counts
     if per_player:
         mins = counts.min(axis=2)  # (I, 4)
         maxs = counts.max(axis=2)

@@ -24,8 +24,9 @@ whose Gram diagonal is zero never start passive.
 Systems solved during pivoting carry a tiny ridge (1e-12 * trace(gram) / n)
 so momentarily collinear columns do not abort the caller.  Once the pivoting
 has settled, every passive set last solved with the ridge is re-solved
-without it, so the returned solution certifies the original problem.  The
-warm start's own systems are solved like this polish, without the ridge
+without it, so the returned solution certifies the original problem; a
+column whose re-solve fails the KKT tolerance keeps its ridged solution.
+The warm start's own systems are solved like this polish, without the ridge
 unless one is singular, so a column that needs no pivoting is final after a
 single solve.
 """
@@ -99,12 +100,16 @@ def kkt_residual(problem: NnlsProblem, x: np.ndarray) -> float:
         x = x.reshape(-1, 1)
     if x.shape != problem.rhs.shape:
         raise ValueError(f"x shape {x.shape} does not match rhs shape {problem.rhs.shape}")
-    w = problem.gram @ x - problem.rhs
-    primal = float(np.maximum(-x, 0.0).max(initial=0.0))
-    on_zero = x <= 0.0
-    dual = float(np.maximum(-w[on_zero], 0.0).max(initial=0.0))
-    slack = float(np.abs(x * w).max(initial=0.0))
-    return max(primal, dual, slack)
+    return float(_kkt_by_column(problem.gram, problem.rhs, x).max(initial=0.0))
+
+
+def _kkt_by_column(gram: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``kkt_residual`` of each column of ``x``."""
+    w = gram @ x - rhs
+    primal = np.maximum(-x, 0.0)
+    dual = np.where(x <= 0.0, np.maximum(-w, 0.0), 0.0)
+    slack = np.abs(x * w)
+    return np.maximum(np.maximum(primal, dual), slack).max(axis=0, initial=0.0)
 
 
 def _solve_passive(gram: np.ndarray, rhs: np.ndarray, passive: np.ndarray) -> np.ndarray:
@@ -229,12 +234,17 @@ def solve_nnls_bpp(
     # polish: re-solve the settled passive sets last solved with the ridge
     # without it, so the certificate holds for the original gram
     cols = np.flatnonzero(ridged)
+    pivoted = x[:, cols]
     try:
         x[:, cols] = _solve_passive(gram, rhs[:, cols], passive[:, cols])
     except NumericallySingular:
         x[:, cols] = _solve_passive(gram_reg, rhs[:, cols], passive[:, cols])
     x[np.abs(x) < zero_tol] = 0.0
     np.maximum(x, 0.0, out=x)
+    # a nearly singular passive system can defeat the ridge-free solve: such
+    # a column keeps its ridged pivoting solution, which is feasible
+    failed = _kkt_by_column(gram, rhs[:, cols], x[:, cols]) > tol
+    x[:, cols[failed]] = pivoted[:, failed]
 
     return NnlsSolution(
         x=x, kkt_residual=kkt_residual(problem, x), iterations=iterations

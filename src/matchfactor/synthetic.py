@@ -5,7 +5,8 @@ each group loading one component; features load according to per-component
 signature sets; the time series are smooth and strictly positive.  The
 resulting tensor is scaled to plausible match-count magnitudes, optionally
 perturbed with multiplicative noise, rounded to integer counts, and emitted
-as MatchRecords together with the ground-truth factors and group labels.
+as a Dataset of those counts together with the ground-truth factors and
+group labels.
 
 In ``exact`` mode rounding is disabled and the first player is replaced by
 an all-zero row, which pins every feature's minimum at zero so that min-max
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, MatchRecord
+from .data import Dataset
 from .decompose import FactorModel
 from .tensor import kruskal_tensor
 
@@ -206,24 +207,11 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     wins = rng.random((spec.n_players, spec.n_matches)) < win_prob[:, None]
 
     width = max(4, len(str(spec.n_players - 1)))
-    player_ids = [f"p{i:0{width}d}" for i in range(spec.n_players)]
-    records = []
-    for i, pid in enumerate(player_ids):
-        for k in range(spec.n_matches):
-            records.append(
-                MatchRecord(
-                    player_id=pid,
-                    match_index=k,
-                    assists=float(counts[i, 0, k]),
-                    deaths=float(counts[i, 1, k]),
-                    kills=float(counts[i, 2, k]),
-                    gold=float(counts[i, 3, k]),
-                    winner=bool(wins[i, k]),
-                    arena_id=spec.arena_id,
-                )
-            )
-    dataset = Dataset.build(
-        records, spec.n_matches, spec.arena_id, player_order=player_ids
+    dataset = Dataset(
+        player_ids=tuple(f"p{i:0{width}d}" for i in range(spec.n_players)),
+        counts=counts,
+        winners=wins,
+        arena_id=spec.arena_id,
     )
 
     # express the truth in post-normalization coordinates: the pipeline will

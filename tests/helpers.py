@@ -5,11 +5,17 @@ exhaustive enumeration, numerical quadrature) so it cannot share a code path
 with the implementation it checks.
 """
 
+import csv
+import json
 import math
+from collections import namedtuple
 from itertools import product
 
 import numpy as np
 from scipy.integrate import quad
+
+from matchfactor.data import CSV_HEADER, FEATURES
+from matchfactor.errors import DuplicateKey, MalformedRecord, NoPlayersRetained
 
 
 def unfold_by_loops(t: np.ndarray, mode: int) -> np.ndarray:
@@ -143,3 +149,183 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     if max_index == expected:
         return 1.0
     return (sum_cells - expected) / (max_index - expected)
+
+
+# ---------------------------------------------------------------------------
+# match-record ingest, one record at a time
+
+
+Record = namedtuple("Record", CSV_HEADER)
+
+
+def _parse_number(raw, name, where, line):
+    try:
+        return float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise MalformedRecord(f"{where}: {name} is not numeric ({raw!r})", line) from None
+
+
+def _parse_winner(raw, where, line):
+    if isinstance(raw, bool):
+        return raw
+    if str(raw) in ("0", "1"):
+        return str(raw) == "1"
+    raise MalformedRecord(f"{where}: winner must be 0 or 1 ({raw!r})", line)
+
+
+def _parse_int(raw, name, where, line):
+    try:
+        return int(str(raw))
+    except (TypeError, ValueError):
+        raise MalformedRecord(f"{where}: {name} is not an integer ({raw!r})", line) from None
+
+
+def _record_from_mapping(row, where, line):
+    missing = [k for k in CSV_HEADER if k not in row or row[k] in (None, "")]
+    if missing:
+        raise MalformedRecord(f"{where}: missing fields {missing}", line)
+    rec = Record(
+        player_id=str(row["player_id"]),
+        match_index=_parse_int(row["match_index"], "match_index", where, line),
+        assists=_parse_number(row["assists"], "assists", where, line),
+        deaths=_parse_number(row["deaths"], "deaths", where, line),
+        kills=_parse_number(row["kills"], "kills", where, line),
+        gold=_parse_number(row["gold"], "gold", where, line),
+        winner=_parse_winner(row["winner"], where, line),
+        arena_id=_parse_int(row["arena_id"], "arena_id", where, line),
+    )
+    if not rec.player_id:
+        raise MalformedRecord(f"{where}: empty player_id", line)
+    if rec.match_index < 0:
+        raise MalformedRecord(f"{where}: negative match_index", line)
+    for name in FEATURES:
+        value = getattr(rec, name)
+        if not np.isfinite(value) or value < 0:
+            raise MalformedRecord(f"{where}: {name} must be a non-negative number", line)
+    return rec
+
+
+def _records_from_csv(path):
+    records = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_HEADER:
+            raise MalformedRecord(f"bad CSV header: expected {','.join(CSV_HEADER)}", line=1)
+        for row in reader:
+            records.append(_record_from_mapping(row, "csv record", reader.line_num))
+    return records
+
+
+def _records_from_json_lines(path):
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecord(f"invalid JSON: {exc}", line_no) from None
+            if not isinstance(row, dict):
+                raise MalformedRecord("record is not an object", line_no)
+            records.append(_record_from_mapping(row, "json record", line_no))
+    return records
+
+
+def _records_from_riot_match_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    matches = doc.get("matches")
+    if not isinstance(matches, list):
+        raise MalformedRecord("riot-match-json file must hold a 'matches' list")
+    staged = []
+    for pos, match in enumerate(matches):
+        where = f"match {pos}"
+        if not isinstance(match, dict):
+            raise MalformedRecord(f"{where}: not an object")
+        arena = _parse_int(match.get("mapId"), "mapId", where, None)
+        creation = _parse_int(match.get("gameCreation", pos), "gameCreation", where, None)
+        identities = {}
+        for ident in match.get("participantIdentities", []):
+            pid = ident.get("participantId")
+            player = (ident.get("player") or {}).get("summonerName")
+            if pid is None or not player:
+                raise MalformedRecord(f"{where}: incomplete participant identity")
+            identities[pid] = str(player)
+        for part in match.get("participants", []):
+            pid = part.get("participantId")
+            if pid not in identities:
+                raise MalformedRecord(f"{where}: participant {pid} has no identity")
+            stats = part.get("stats") or {}
+            row = {
+                "player_id": identities[pid],
+                "match_index": 0,
+                "assists": stats.get("assists"),
+                "deaths": stats.get("deaths"),
+                "kills": stats.get("kills"),
+                "gold": stats.get("goldEarned"),
+                "winner": stats.get("win"),
+                "arena_id": arena,
+            }
+            missing = [k for k, v in row.items() if v is None]
+            if missing:
+                raise MalformedRecord(f"{where}: missing fields {missing}")
+            staged.append((creation, pos, row))
+    staged.sort(key=lambda item: (item[2]["player_id"], item[0], item[1]))
+    records = []
+    counters = {}
+    for creation, pos, row in staged:
+        player = row["player_id"]
+        row["match_index"] = counters.get(player, 0)
+        counters[player] = row["match_index"] + 1
+        records.append(_record_from_mapping(row, f"match at position {pos}", None))
+    return records
+
+
+_RECORD_READERS = {
+    "csv": _records_from_csv,
+    "json-lines": _records_from_json_lines,
+    "riot-match-json": _records_from_riot_match_json,
+}
+
+
+def ingest_by_records(path, fmt="csv", arena_id=11, n_matches=100):
+    """Reference ingest: one record object per row, retention through dicts.
+
+    Returns the retained ``player_ids``, raw ``counts`` (I, 4, K) and
+    ``winners`` (I, K) next to the four counters of ``IngestResult``.
+    """
+    raw = _RECORD_READERS[fmt](path)
+    in_arena = [r for r in raw if r.arena_id == arena_id]
+    seen = set()
+    for rec in in_arena:
+        key = (rec.player_id, rec.match_index)
+        if key in seen:
+            raise DuplicateKey(f"duplicate record for {key}")
+        seen.add(key)
+    by_player = {}
+    for rec in in_arena:
+        if rec.match_index < n_matches:
+            by_player.setdefault(rec.player_id, {})[rec.match_index] = rec
+    expected = set(range(n_matches))
+    complete = sorted(p for p, recs in by_player.items() if set(recs) == expected)
+    if not complete:
+        raise NoPlayersRetained(
+            f"no player has a complete 0..{n_matches - 1} history in arena {arena_id}"
+        )
+    counts = np.zeros((len(complete), len(FEATURES), n_matches))
+    winners = np.zeros((len(complete), n_matches), dtype=bool)
+    for i, pid in enumerate(complete):
+        for k, rec in by_player[pid].items():
+            counts[i, :, k] = [getattr(rec, name) for name in FEATURES]
+            winners[i, k] = rec.winner
+    return {
+        "player_ids": tuple(complete),
+        "counts": counts,
+        "winners": winners,
+        "players_retained": len(complete),
+        "players_dropped": len({r.player_id for r in in_arena}) - len(complete),
+        "records_read": len(raw),
+        "records_other_arena": len(raw) - len(in_arena),
+    }

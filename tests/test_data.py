@@ -1,18 +1,29 @@
+import csv
+import io
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
+import matchfactor.data as data_module
 from matchfactor import (
+    CSV_HEADER,
+    FEATURES,
     Dataset,
     DuplicateKey,
     MalformedRecord,
-    MatchRecord,
     NoPlayersRetained,
     denormalize,
     ingest,
     normalize_minmax,
 )
+
+from helpers import ingest_by_records
 
 CSV_FIXTURE = """player_id,match_index,assists,deaths,kills,gold,winner,arena_id
 alice,0,3,1,5,9000,1,11
@@ -28,6 +39,13 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def assert_same_dataset(a, b):
+    assert a.player_ids == b.player_ids
+    assert a.arena_id == b.arena_id
+    np.testing.assert_array_equal(a.counts, b.counts)
+    np.testing.assert_array_equal(a.winners, b.winners)
 
 
 def csv_to_jsonl(csv_text):
@@ -93,7 +111,8 @@ class TestIngestCsv:
         extra = CSV_FIXTURE + "alice,3,1,1,1,5000,1,11\n"
         result = ingest(write(tmp_path, "d.csv", extra), "csv", n_matches=3)
         assert result.dataset.player_ids == ("alice", "bob")
-        assert len(result.dataset.records) == 6
+        plain = ingest(write(tmp_path, "p.csv", CSV_FIXTURE), "csv", n_matches=3)
+        assert_same_dataset(result.dataset, plain.dataset)
 
     def test_other_arena_filtered(self, tmp_path):
         mixed = CSV_FIXTURE + "carol,0,1,1,1,5000,1,12\n"
@@ -127,8 +146,10 @@ class TestIngestCsv:
             ingest(write(tmp_path, "d.csv", dup), "csv", n_matches=3)
 
     def test_no_players_retained(self, tmp_path):
-        with pytest.raises(NoPlayersRetained):
-            ingest(write(tmp_path, "d.csv", CSV_FIXTURE), "csv", n_matches=50)
+        path = write(tmp_path, "d.csv", CSV_FIXTURE)
+        for n_matches in (50, 0):
+            with pytest.raises(NoPlayersRetained):
+                ingest(path, "csv", n_matches=n_matches)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
@@ -143,7 +164,7 @@ class TestCrossFormat:
             "json-lines",
             n_matches=3,
         )
-        assert csv_result.dataset == jsonl_result.dataset
+        assert_same_dataset(csv_result.dataset, jsonl_result.dataset)
 
     def test_riot_json_equivalent(self, tmp_path):
         csv_result = ingest(write(tmp_path, "d.csv", CSV_FIXTURE), "csv", n_matches=3)
@@ -152,7 +173,7 @@ class TestCrossFormat:
             "riot-match-json",
             n_matches=3,
         )
-        assert csv_result.dataset == riot_result.dataset
+        assert_same_dataset(csv_result.dataset, riot_result.dataset)
 
     def test_riot_missing_stats(self, tmp_path):
         doc = json.loads(csv_to_riot_json(CSV_FIXTURE))
@@ -167,23 +188,22 @@ class TestIdempotence:
         out = tmp_path / "echo.csv"
         first.dataset.write_csv(out)
         second = ingest(out, "csv", n_matches=3)
-        assert first.dataset == second.dataset
+        assert_same_dataset(first.dataset, second.dataset)
+        assert out.read_text(encoding="utf-8") == CSV_FIXTURE
 
 
 class TestNormalize:
     def make_dataset(self):
-        records = []
-        gold = {0: 0, 1: 5, 2: 10}
-        for k in range(3):
-            records.append(
-                MatchRecord("p1", k, assists=k, deaths=1, kills=2 * k,
-                            gold=gold[k], winner=True, arena_id=11)
-            )
-            records.append(
-                MatchRecord("p2", k, assists=3 - k, deaths=1, kills=k,
-                            gold=gold[k], winner=False, arena_id=11)
-            )
-        return Dataset.build(records, 3, 11)
+        k = np.arange(3.0)
+        gold = 5.0 * k
+        counts = np.array(
+            [
+                [k, np.ones(3), 2 * k, gold],  # p1: assists, deaths, kills, gold
+                [3 - k, np.ones(3), k, gold],  # p2
+            ]
+        )
+        winners = np.array([[True] * 3, [False] * 3])
+        return Dataset(("p1", "p2"), counts, winners, arena_id=11)
 
     def test_minmax_values(self):
         normalized = normalize_minmax(self.make_dataset())
@@ -218,7 +238,7 @@ class TestNormalize:
 
     def test_player_order_permutes_slices(self):
         ds = self.make_dataset()
-        flipped = Dataset.build(ds.records, 3, 11, player_order=("p2", "p1"))
+        flipped = Dataset(("p2", "p1"), ds.counts[::-1], ds.winners[::-1], arena_id=11)
         a = normalize_minmax(ds).tensor
         b = normalize_minmax(flipped).tensor
         np.testing.assert_array_equal(a[0], b[1])
@@ -226,20 +246,172 @@ class TestNormalize:
 
 
 class TestDatasetBuild:
-    def test_incomplete_history_rejected(self):
-        records = [MatchRecord("p", 0, 1, 1, 1, 10, True, 11)]
-        with pytest.raises(ValueError, match="complete"):
-            Dataset.build(records, 2, 11)
+    """The retention rule that ingest applies before building a Dataset."""
 
-    def test_duplicate_rejected(self):
-        records = [
-            MatchRecord("p", 0, 1, 1, 1, 10, True, 11),
-            MatchRecord("p", 0, 2, 2, 2, 20, False, 11),
-        ]
-        with pytest.raises(DuplicateKey):
-            Dataset.build(records, 1, 11)
+    def test_incomplete_history_rejected(self, tmp_path):
+        text = CSV_FIXTURE.strip().splitlines()[0] + "\np,0,1,1,1,10,1,11\n"
+        with pytest.raises(NoPlayersRetained, match="complete 0..1 history"):
+            ingest(write(tmp_path, "d.csv", text), "csv", n_matches=2)
+
+    def test_duplicate_rejected(self, tmp_path):
+        # the first repeated key in file order is reported, also past the
+        # matches that are kept
+        header = CSV_FIXTURE.strip().splitlines()[0]
+        rows = ["p,0,1,1,1,10,1,11", "p,7,1,1,1,10,1,11", "q,0,1,1,1,10,1,11",
+                "p,7,2,2,2,20,0,11", "p,0,2,2,2,20,0,11"]
+        path = write(tmp_path, "d.csv", "\n".join([header, *rows]) + "\n")
+        with pytest.raises(DuplicateKey, match=r"\('p', 7\)"):
+            ingest(path, "csv", n_matches=1)
+
+    def test_duplicate_in_other_arena_ignored(self, tmp_path):
+        dup = CSV_FIXTURE + "alice,1,1,1,1,1000,0,12\n"
+        result = ingest(write(tmp_path, "d.csv", dup), "csv", n_matches=3)
+        assert result.players_retained == 2
+        assert result.records_other_arena == 1
 
     def test_winner_matrix(self, tmp_path):
         result = ingest(write(tmp_path, "d.csv", CSV_FIXTURE), "csv", n_matches=3)
         w = result.dataset.winner_matrix()
         np.testing.assert_array_equal(w, [[1, 0, 1], [0, 1, 0]])
+
+
+# ---------------------------------------------------------------------------
+# the columnar readers against the record-at-a-time reference
+
+N_MATCHES = 2
+# troublesome values of each field; "count" stands for the four features
+TEXT_TOKENS = {
+    "player_id": ["", "a,b", 'q"q', "two\nlines", " a"],
+    "match_index": ["", "-1", "1.0", "+1", " 1", "x", "99999999999999999999999"],
+    "count": ["", "-1", "-0", "1.5", " 2", "1_0", "1e3", "nan", "inf", "1e400", "0x1", "٣"],
+    "winner": ["", "2", "True", "true", "1.0", " 1", "-0"],
+    "arena_id": ["", "x", "+11", "11.0", "٣", "99999999999999999999999"],
+}
+JSON_TOKENS = {
+    "player_id": [None, "", 0, 1.5, True, [1], {}],
+    "match_index": [None, "", -1, 1.0, "1", "2.0", True, 2**70, [1]],
+    "count": [None, "", -1, 1.5, True, 2**70, 10**400, float("nan"), "1", "x", [1], {}],
+    "winner": [None, "", 2, 1.0, "1", "True", [1]],
+    "arena_id": [None, "", "11", 11.0, True, 2**70, "x"],
+}
+FIELD_KIND = ("player_id", "match_index", *["count"] * len(FEATURES), "winner", "arena_id")
+ODD_CSV_LINES = ["", "a,0,1", "a,0,1,1,1,1,1,11,extra", '"a\n",0']
+ODD_JSON_LINES = ["", "  ", "not json", "[1, 2]", '{"a": 1} x']
+
+
+def fuzzed_records(rng):
+    """Player histories of up to three matches, some in another arena,
+    sometimes with a repeated key, every field replaced by a troublesome
+    token at the file's own rate (often zero)."""
+    rows = []
+    for player in rng.sample(["a", "b", "c"], rng.randint(1, 3)):
+        for k in range(rng.choice([0, 1, 2, 2, 3, 3])):
+            counts = [rng.randint(0, 30) for _ in FEATURES]
+            rows.append([player, k, *counts, rng.randint(0, 1), rng.choice([11] * 6 + [12])])
+    if rows and rng.random() < 0.1:
+        rows.append(list(rng.choice(rows)))
+    rng.shuffle(rows)
+    rate = rng.choice([0.0, 0.0, 0.02, 0.05, 0.15])
+    return rows, lambda value, tokens: rng.choice(tokens) if rng.random() < rate else value
+
+
+def fuzzed_csv(rng):
+    rows, fuzz = fuzzed_records(rng)
+    out = io.StringIO()
+    out.write(fuzz(",".join(CSV_HEADER), ["a,b,c", ""]) + "\n")
+    writer = csv.writer(out, lineterminator="\n")
+    for row in rows:
+        writer.writerow([fuzz(str(v), TEXT_TOKENS[kind]) for v, kind in zip(row, FIELD_KIND)])
+        out.write(fuzz("", [line + "\n" for line in ODD_CSV_LINES]))
+    return out.getvalue()
+
+
+def fuzzed_json_lines(rng):
+    rows, fuzz = fuzzed_records(rng)
+    lines = []
+    for row in rows:
+        row[6] = rng.choice([row[6], bool(row[6])])  # winner: 0/1 or a JSON boolean
+        record = {k: fuzz(v, JSON_TOKENS[t]) for k, v, t in zip(CSV_HEADER, row, FIELD_KIND)}
+        record.pop(fuzz(None, CSV_HEADER), None)
+        lines.append(fuzz(json.dumps(record), ODD_JSON_LINES))
+    return "\n".join(lines) + "\n"
+
+
+def fuzzed_riot(rng):
+    rows, fuzz = fuzzed_records(rng)
+    # players' k-th matches in one arena share match objects, at most three
+    # to a match, created in the order of k
+    rows.sort(key=lambda row: (row[1], row[-1]))
+    matches = []
+    for row in rows:
+        last = matches[-1] if matches else None
+        if last is None or last["key"] != (row[1], row[-1]) or len(last["seats"]) == 3:
+            last = {"key": (row[1], row[-1]), "seats": []}
+            matches.append(last)
+        last["seats"].append(row)
+    docs = []
+    for match in matches:
+        k, arena = match["key"]
+        doc = {
+            "mapId": fuzz(arena, [None, "11", "x", 2**70]),
+            "gameCreation": fuzz(100 * k + rng.randint(0, 99), [None, "x", 2**70, -3]),
+            "participantIdentities": [],
+            "participants": [],
+        }
+        for seat, (player, _, *counts, win, _) in enumerate(match["seats"], 1):
+            name = fuzz(player, ["", None, 0, 7])
+            doc["participantIdentities"].append(
+                {"participantId": seat, "player": {"summonerName": name}}
+            )
+            keys = ("assists", "deaths", "kills", "goldEarned")
+            stats = {key: fuzz(v, JSON_TOKENS["count"]) for key, v in zip(keys, counts)}
+            stats["win"] = fuzz(bool(win), JSON_TOKENS["winner"])
+            doc["participants"].append({"participantId": fuzz(seat, [seat + 1]), "stats": stats})
+        docs.append({k: v for k, v in doc.items() if v is not None})
+    rng.shuffle(docs)
+    return json.dumps({"matches": docs})
+
+
+def assert_same_as_reference(path, fmt):
+    try:
+        expect = ingest_by_records(path, fmt, n_matches=N_MATCHES)
+    except (MalformedRecord, DuplicateKey, NoPlayersRetained) as exc:
+        with pytest.raises((MalformedRecord, DuplicateKey, NoPlayersRetained)) as got:
+            ingest(path, fmt, n_matches=N_MATCHES)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        assert getattr(got.value, "line", None) == getattr(exc, "line", None)
+        return
+    result = ingest(path, fmt, n_matches=N_MATCHES)
+    assert result.dataset.player_ids == expect["player_ids"]
+    np.testing.assert_array_equal(result.dataset.counts, expect["counts"])
+    np.testing.assert_array_equal(result.dataset.winners, expect["winners"])
+    for name in ("players_retained", "players_dropped", "records_read", "records_other_arena"):
+        assert getattr(result, name) == expect[name], name
+
+
+class TestReadersMatchReference:
+    """Fuzzed exports: the columnar readers reject exactly what the
+    record-at-a-time reference rejects (same error, message and line) and
+    otherwise build the same dataset.  Chunks of three rows make every file
+    span several parse chunks."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(data_module, "_CHUNK", 3)
+
+    @pytest.mark.parametrize(
+        "fmt, make",
+        [("csv", fuzzed_csv), ("json-lines", fuzzed_json_lines), ("riot-match-json", fuzzed_riot)],
+    )
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(seed=hst.integers(0, 2**32 - 1))
+    def test_fuzzed_export(self, fmt, make, seed):
+        # the export is drawn from a seeded generator, so that every token
+        # keeps its intended frequency; a failure reports its seed
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "export"
+            path.write_text(make(random.Random(seed)), encoding="utf-8")
+            assert_same_as_reference(path, fmt)

@@ -98,6 +98,29 @@ class TestInvariants:
         # complementarity and dual feasibility still certify on zeros
         assert sol.kkt_residual <= 1e-6
 
+    @pytest.mark.parametrize("family", ["3x4", "6x3-plus-duplicate"])
+    def test_collinear_rank_deficient_grams_reach_the_optimum(self, family):
+        # nearly singular passive systems: the ridge-free polish alone can
+        # return a far-from-optimal point, which must not be reported
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            if family == "3x4":
+                g = rng.standard_normal((3, 4))
+            else:
+                g = rng.standard_normal((6, 3))
+                g = np.hstack([g, g[:, :1]])
+            y = rng.standard_normal((g.shape[0], 1))
+            prob = NnlsProblem(g.T @ g, g.T @ y)
+            sol = solve_nnls_bpp(prob)
+            assert sol.kkt_residual <= 1e-8
+            x = sol.x[:, 0]
+            best = nnls_by_enumeration(prob.gram, prob.rhs[:, 0])
+
+            def objective(v):
+                return 0.5 * v @ prob.gram @ v - prob.rhs[:, 0] @ v
+
+            assert abs(objective(x) - objective(best)) <= 1e-10 * max(1.0, abs(objective(best)))
+
     def test_backup_rule_engages_and_terminates(self):
         # near-singular grams push exchanges around; everything must settle
         rng = np.random.default_rng(11)
