@@ -16,6 +16,9 @@ Input formats
     ``match_index`` is the chronological rank of the match (ties broken by
     file position).
 
+An undecodable line in any of them is a ``MalformedRecord`` with its line
+number.
+
 Retention rule
 --------------
 Only records in the configured arena count.  A player is retained when the
@@ -31,14 +34,17 @@ the dense arrays of a ``Dataset``.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
+import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
 from .errors import DuplicateKey, MalformedRecord, NoPlayersRetained
+from .tensor import _formatted_slices
 
 logger = logging.getLogger(__name__)
 
@@ -92,19 +98,22 @@ class Dataset:
         return self.winners.astype(np.float64)
 
     def write_csv(self, path) -> None:
+        counts = np.ascontiguousarray(self.counts, dtype=np.float64)
+        slices = _formatted_slices(counts.ravel(), _format_count)
+        text = chain.from_iterable(s.tolist() for s in slices)
+        wins = self.winners.astype(int).tolist()
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_HEADER)
-            wins = self.winners.astype(int).tolist()
-            for pid, counts, won in zip(self.player_ids, self.counts, wins):
-                features = [map(_format_count, series) for series in counts.tolist()]
+            for pid, won in zip(self.player_ids, wins):
+                features = [list(islice(text, self.n_matches)) for _ in range(counts.shape[1])]
                 matches = range(self.n_matches)
                 arena = repeat(self.arena_id)
                 writer.writerows(zip(repeat(pid), matches, *features, won, arena))
 
 
 def _format_count(value: float) -> str:
-    return str(int(value)) if float(value).is_integer() else repr(float(value))
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 @dataclass(frozen=True)
@@ -223,40 +232,75 @@ def _read_columns(rows) -> tuple:
     return list(codes), *(np.concatenate(col) for col in zip(*parts))
 
 
+def _lines(path, newline=None):
+    """The lines of a UTF-8 text file, split as ``open(path, newline=...)``
+    splits them.  An undecodable line raises ``MalformedRecord`` with its
+    number, after the lines before it."""
+    done = 0
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            for line in fh:
+                yield line
+                done += 1
+    except UnicodeDecodeError:
+        yield from _lines_up_to_undecodable(path, newline, skip=done)
+
+
+def _lines_up_to_undecodable(path, newline, skip):
+    """The error path of ``_lines``: read the file again, in binary, yield
+    its lines after the first ``skip`` until the first undecodable one, and
+    raise ``MalformedRecord`` with that line's number."""
+    with open(path, "rb") as fh:
+        # undecodable bytes become lone surrogates, which cannot be encoded
+        text = fh.read().decode("utf-8", "surrogateescape")
+    for line_no, line in enumerate(io.StringIO(text, newline=newline), start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedRecord("invalid UTF-8", line_no) from None
+        if line_no > skip:
+            yield line
+    raise MalformedRecord("invalid UTF-8")  # the file changed since it failed to decode
+
+
 def _csv_rows(path):
     width = len(CSV_HEADER)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise MalformedRecord(f"bad CSV header: expected {','.join(CSV_HEADER)}", line=1)
-        for row in reader:
-            if row:  # blank lines are skipped
-                # absent trailing fields count as missing, extra ones are ignored
-                row = row if len(row) == width else (row + [None] * width)[:width]
-                yield row, "csv record", reader.line_num
+    reader = csv.reader(_lines(path, newline=""))
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_HEADER:
+        raise MalformedRecord(f"bad CSV header: expected {','.join(CSV_HEADER)}", line=1)
+    for row in reader:
+        if row:  # blank lines are skipped
+            # absent trailing fields count as missing, extra ones are ignored
+            row = row if len(row) == width else (row + [None] * width)[:width]
+            yield row, "csv record", reader.line_num
 
 
 def _json_lines_rows(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"invalid JSON: {exc}", line_no) from None
-            if not isinstance(row, dict):
-                raise MalformedRecord("record is not an object", line_no)
-            yield tuple(map(row.get, CSV_HEADER)), "json record", line_no
+    for line_no, line in enumerate(_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(f"invalid JSON: {exc}", line_no) from None
+        if not isinstance(row, dict):
+            raise MalformedRecord("record is not an object", line_no)
+        yield tuple(map(row.get, CSV_HEADER)), "json record", line_no
 
 
 def _riot_match_json_rows(path):
     """Flatten saved match-endpoint responses into per-player rows."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    matches = doc.get("matches")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError:
+        # skips every line, so it raises at the first undecodable one
+        next(_lines_up_to_undecodable(path, None, skip=math.inf))
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(f"invalid JSON: {exc}") from None
+    matches = doc.get("matches") if isinstance(doc, dict) else None
     if not isinstance(matches, list):
         raise MalformedRecord("riot-match-json file must hold a 'matches' list")
 
@@ -267,23 +311,29 @@ def _riot_match_json_rows(path):
             raise MalformedRecord(f"{where}: not an object")
         arena = _parse_int(match.get("mapId"), "mapId", where, None)
         creation = _parse_int(match.get("gameCreation", pos), "gameCreation", where, None)
-        identities = {}
-        for ident in match.get("participantIdentities", []):
-            pid = ident.get("participantId")
-            player = (ident.get("player") or {}).get("summonerName")
-            if pid is None or not player:
-                raise MalformedRecord(f"{where}: incomplete participant identity")
-            identities[pid] = str(player)
-        for part in match.get("participants", []):
-            pid = part.get("participantId")
-            if pid not in identities:
-                raise MalformedRecord(f"{where}: participant {pid} has no identity")
-            stats = part.get("stats") or {}
-            values = list(map(stats.get, ("assists", "deaths", "kills", "goldEarned", "win")))
-            if None in values:
-                missing = [k for k, v in zip(CSV_HEADER[2:7], values) if v is None]
-                raise MalformedRecord(f"{where}: missing fields {missing}")
-            staged.append((identities[pid], creation, pos, arena, values))
+        try:
+            identities = {}
+            for ident in match.get("participantIdentities", []):
+                pid = ident.get("participantId")
+                player = (ident.get("player") or {}).get("summonerName")
+                if pid is None or not player:
+                    raise MalformedRecord(f"{where}: incomplete participant identity")
+                identities[pid] = str(player)
+            for part in match.get("participants", []):
+                pid = part.get("participantId")
+                if pid not in identities:
+                    raise MalformedRecord(f"{where}: participant {pid} has no identity")
+                stats = part.get("stats") or {}
+                values = list(map(stats.get, ("assists", "deaths", "kills", "goldEarned", "win")))
+                if None in values:
+                    missing = [k for k, v in zip(CSV_HEADER[2:7], values) if v is None]
+                    raise MalformedRecord(f"{where}: missing fields {missing}")
+                staged.append((identities[pid], creation, pos, arena, values))
+        except (AttributeError, TypeError):  # a non-object, or a list as participantId
+            raise MalformedRecord(
+                f"{where}: participants, identities, their player and stats must be objects"
+                " and participantId a scalar"
+            ) from None
 
     # a player's match_index is the chronological rank of the match, ties
     # broken by file position

@@ -27,6 +27,8 @@ import numpy as np
 
 _TENSOR_FORMAT = "dense-tensor3"
 _TENSOR_VERSION = 1
+# the values formatted and held as text at once by the writers
+_SLICE = 1 << 16
 
 
 def as_tensor3(values, require_nonnegative: bool = False) -> np.ndarray:
@@ -132,37 +134,88 @@ def frobenius_norm(t: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(t, dtype=np.float64).ravel()))
 
 
+def _formatted_slices(values: np.ndarray, fmt):
+    """Yield ``fmt`` of each entry of the flat float64 array ``values``, as
+    object arrays of at most ``_SLICE`` strings.
+
+    ``fmt`` runs once per distinct value of each slice.  Values are told
+    apart by their bits, not by float equality, so ``-0.0`` and ``0.0`` keep
+    their own text.
+    """
+    bits = values.view(np.int64)
+    for start in range(0, bits.size, _SLICE):
+        keys, inverse = np.unique(bits[start : start + _SLICE], return_inverse=True)
+        text = np.array(list(map(fmt, keys.view(np.float64).tolist())), dtype=object)
+        yield text[inverse]
+
+
 def save_tensor3(path, t: np.ndarray, metadata: dict | None = None) -> None:
     """Write a tensor to a JSON container.
 
     The container header records dims, layout and format version; values are
     stored flat with the first index slowest (C order).  ``metadata`` may hold
     any JSON-serializable payload and travels with the tensor.
+
+    The bytes are those of ``json.dump(doc, fh, sort_keys=True)`` plus a
+    newline.  The header is one ``json.dumps`` of the document without
+    ``values`` and ``version``, which sort after it; the values follow in
+    slices, formatted with ``float.__repr__`` as the encoder formats floats.
     """
     t = as_tensor3(t)
-    doc = {
-        "format": _TENSOR_FORMAT,
-        "version": _TENSOR_VERSION,
-        "dims": list(t.shape),
-        "layout": "first-index-slowest",
-        "values": t.ravel(order="C").tolist(),
-        "metadata": metadata or {},
-    }
+    header = json.dumps(
+        {
+            "format": _TENSOR_FORMAT,
+            "dims": list(t.shape),
+            "layout": "first-index-slowest",
+            "metadata": metadata or {},
+        },
+        sort_keys=True,
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(header[:-1] + ', "values": [')
+        for i, text in enumerate(_formatted_slices(t.ravel(), float.__repr__)):
+            if i:
+                fh.write(", ")
+            fh.write(", ".join(text.tolist()))
+        fh.write(f'], "version": {_TENSOR_VERSION}}}\n')
 
 
 def load_tensor3(path) -> tuple[np.ndarray, dict]:
-    """Read a tensor written by :func:`save_tensor3`; returns (tensor, metadata)."""
+    """Read a tensor written by :func:`save_tensor3`; returns (tensor, metadata).
+
+    A file that is not such a container raises ``ValueError`` naming it.
+    """
+    where = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != _TENSOR_FORMAT:
-        raise ValueError(f"{Path(path)}: not a dense-tensor3 container")
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # invalid JSON or UTF-8
+            raise ValueError(f"{where}: not a JSON file ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != _TENSOR_FORMAT:
+        raise ValueError(f"{where}: not a dense-tensor3 container")
     if doc.get("version") != _TENSOR_VERSION:
-        raise ValueError(f"{Path(path)}: unsupported container version {doc.get('version')}")
-    dims = tuple(int(d) for d in doc["dims"])
-    values = np.asarray(doc["values"], dtype=np.float64)
+        raise ValueError(f"{where}: unsupported container version {doc.get('version')}")
+    dims = doc.get("dims")
+    if not (
+        isinstance(dims, list)
+        and len(dims) == 3
+        and all(type(d) is int and d > 0 for d in dims)
+    ):
+        raise ValueError(f"{where}: dims must be three positive integers, got {dims!r}")
+    values = doc.get("values")
+    # exact types: a JSON true or a string is not a number
+    if not (isinstance(values, list) and {*map(type, values)} <= {int, float}):
+        raise ValueError(f"{where}: values must be a list of numbers")
+    try:
+        values = np.asarray(values, dtype=np.float64)
+        finite = np.isfinite(values).all()
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{where}: values must be finite numbers")
     if values.size != dims[0] * dims[1] * dims[2]:
-        raise ValueError(f"{Path(path)}: value count does not match dims {dims}")
-    return values.reshape(dims), doc.get("metadata", {})
+        raise ValueError(f"{where}: value count does not match dims {tuple(dims)}")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError(f"{where}: metadata must be an object")
+    return values.reshape(dims), metadata

@@ -9,7 +9,7 @@ import csv
 import json
 import math
 from collections import namedtuple
-from itertools import product
+from itertools import product, repeat
 
 import numpy as np
 from scipy.integrate import quad
@@ -329,3 +329,40 @@ def ingest_by_records(path, fmt="csv", arena_id=11, n_matches=100):
         "records_read": len(raw),
         "records_other_arena": len(raw) - len(in_arena),
     }
+
+
+# ---------------------------------------------------------------------------
+# writers, one value at a time
+
+
+def save_tensor3_by_json_dump(path, t, metadata=None):
+    """Reference container writer: the whole document through ``json.dump``."""
+    t = np.asarray(t, dtype=np.float64)
+    doc = {
+        "format": "dense-tensor3",
+        "version": 1,
+        "dims": list(t.shape),
+        "layout": "first-index-slowest",
+        "values": t.ravel(order="C").tolist(),
+        "metadata": metadata or {},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv_by_values(dataset, path):
+    """Reference ``Dataset.write_csv``: every count formatted on its own."""
+
+    def format_count(value):
+        return str(int(value)) if float(value).is_integer() else repr(float(value))
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        wins = dataset.winners.astype(int).tolist()
+        for pid, counts, won in zip(dataset.player_ids, dataset.counts, wins):
+            features = [map(format_count, series) for series in counts.tolist()]
+            matches = range(dataset.n_matches)
+            arena = repeat(dataset.arena_id)
+            writer.writerows(zip(repeat(pid), matches, *features, won, arena))

@@ -10,6 +10,9 @@ import pytest
 import matchfactor
 from matchfactor.cli import main
 
+from test_data import RIOT_SHAPES, csv_to_jsonl, csv_to_riot_json, riot_fixture_with, with_bad_line
+from test_tensor import MALFORMED_CONTAINERS
+
 CSV_FIXTURE = """player_id,match_index,assists,deaths,kills,gold,winner,arena_id
 alice,0,3,1,5,9000,1,11
 alice,1,4,2,6,9500,0,11
@@ -371,3 +374,38 @@ class TestAnalyze:
         assert clusters["k"] == 3
         ks = {entry["k"] for entry in clusters["silhouette_sweep"]}
         assert ks  # at least some neighbor k values succeeded
+
+
+class TestMalformedInputs:
+    """Malformed inputs end as "error: ..." with exit code 1, not as a traceback."""
+
+    @pytest.mark.parametrize("command", ["rank-scan", "analyze"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONTAINERS))
+    def test_container(self, tmp_path, capsys, command, case):
+        path = tmp_path / "bad.json"
+        path.write_text(MALFORMED_CONTAINERS[case][0])
+        assert run(command, "--input", path, "--out-dir", tmp_path / "o") == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("shape", sorted(RIOT_SHAPES))
+    def test_riot_shape(self, tmp_path, capsys, shape):
+        path = tmp_path / "d.json"
+        path.write_text(riot_fixture_with(RIOT_SHAPES[shape]))
+        args = ["--format", "riot-match-json", "--matches", 3, "--out-dir", tmp_path / "o"]
+        assert run("ingest", "--input", path, *args) == 1
+        assert capsys.readouterr().err.startswith("error: match 1: ")
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [
+            ("csv", CSV_FIXTURE),
+            ("json-lines", csv_to_jsonl(CSV_FIXTURE)),
+            ("riot-match-json", json.dumps(json.loads(csv_to_riot_json(CSV_FIXTURE)), indent=1)),
+        ],
+    )
+    def test_undecodable(self, tmp_path, capsys, fmt, text):
+        path = tmp_path / "d"
+        path.write_bytes(with_bad_line(text, 3))
+        args = ["--format", fmt, "--matches", 3, "--out-dir", tmp_path / "o"]
+        assert run("ingest", "--input", path, *args) == 1
+        assert capsys.readouterr().err.startswith("error: line 3: invalid UTF-8")

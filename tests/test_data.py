@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
 import matchfactor.data as data_module
+import matchfactor.tensor as tensor_module
 from matchfactor import (
     CSV_HEADER,
     FEATURES,
@@ -22,8 +23,9 @@ from matchfactor import (
     ingest,
     normalize_minmax,
 )
+from matchfactor.synthetic import SyntheticSpec, generate_synthetic
 
-from helpers import ingest_by_records
+from helpers import ingest_by_records, write_csv_by_values
 
 CSV_FIXTURE = """player_id,match_index,assists,deaths,kills,gold,winner,arena_id
 alice,0,3,1,5,9000,1,11
@@ -273,6 +275,154 @@ class TestDatasetBuild:
         result = ingest(write(tmp_path, "d.csv", CSV_FIXTURE), "csv", n_matches=3)
         w = result.dataset.winner_matrix()
         np.testing.assert_array_equal(w, [[1, 0, 1], [0, 1, 0]])
+
+
+class TestWriteCsvBytes:
+    """``write_csv`` writes exactly the bytes of the per-value writer."""
+
+    @pytest.fixture(autouse=True)
+    def small_slices(self, monkeypatch):
+        # format slices that end inside a player's counts
+        monkeypatch.setattr(tensor_module, "_SLICE", 7)
+
+    def test_exact_dataset(self, tmp_path):
+        spec = SyntheticSpec(n_players=30, n_matches=20, group_sizes=(10, 10, 10), exact=True)
+        dataset = generate_synthetic(spec).dataset
+        assert (dataset.counts != np.round(dataset.counts)).any()  # fractional counts
+        dataset.write_csv(tmp_path / "new.csv")
+        write_csv_by_values(dataset, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_players, n_matches", [(0, 0), (0, 3), (2, 0)])
+    def test_empty_dataset(self, tmp_path, n_players, n_matches):
+        dataset = Dataset(
+            player_ids=tuple("ab"[:n_players]),
+            counts=np.zeros((n_players, 4, n_matches)),
+            winners=np.zeros((n_players, n_matches), dtype=bool),
+            arena_id=11,
+        )
+        dataset.write_csv(tmp_path / "new.csv")
+        write_csv_by_values(dataset, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        counts=hst.lists(
+            hst.sampled_from([0.0, -0.0, 5e-324, 0.1, 1.0, 7.0, 2.0**53, 1e16, 1e300])
+            | hst.floats(0, 1e20),
+            min_size=12,
+            max_size=12,
+        ),
+        winners=hst.lists(hst.booleans(), min_size=6, max_size=6),
+    )
+    def test_odd_counts(self, counts, winners):
+        dataset = Dataset(
+            player_ids=("a", "b,c"),
+            counts=np.reshape(counts, (2, 2, 3)).repeat(2, axis=1),
+            winners=np.reshape(winners, (2, 3)),
+            arena_id=11,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset.write_csv(Path(tmp) / "new.csv")
+            write_csv_by_values(dataset, Path(tmp) / "ref.csv")
+            assert (Path(tmp) / "new.csv").read_bytes() == (Path(tmp) / "ref.csv").read_bytes()
+
+
+def riot_fixture_with(change):
+    """The riot export of ``CSV_FIXTURE`` with ``change`` applied to match 1."""
+    doc = json.loads(csv_to_riot_json(CSV_FIXTURE))
+    change(doc["matches"][1])
+    return json.dumps(doc)
+
+
+def set_in(match, key, index, field, value):
+    match[key][index][field] = value
+
+
+# malformed shapes of a riot match; each must end as "match 1: ..."
+RIOT_SHAPES = {
+    "stats-list": lambda m: set_in(m, "participants", 0, "stats", [1]),
+    "stats-string": lambda m: set_in(m, "participants", 0, "stats", "x"),
+    "participant-not-object": lambda m: m.update(participants=[1]),
+    "participants-not-list": lambda m: m.update(participants=5),
+    "identity-not-object": lambda m: m.update(participantIdentities=["x"]),
+    "identities-object": lambda m: m.update(participantIdentities={"a": 1}),
+    "player-list": lambda m: set_in(m, "participantIdentities", 0, "player", [1]),
+    "player-string": lambda m: set_in(m, "participantIdentities", 0, "player", "x"),
+    "participant-id-list": lambda m: set_in(m, "participants", 0, "participantId", [1]),
+    "identity-id-list": lambda m: set_in(m, "participantIdentities", 0, "participantId", [1]),
+    "identity-id-object": lambda m: set_in(m, "participantIdentities", 0, "participantId", {}),
+}
+
+
+class TestRiotShapes:
+    @pytest.mark.parametrize("shape", sorted(RIOT_SHAPES))
+    def test_malformed_match(self, tmp_path, shape):
+        path = write(tmp_path, "d.json", riot_fixture_with(RIOT_SHAPES[shape]))
+        with pytest.raises(MalformedRecord, match="^match 1: "):
+            ingest(path, "riot-match-json", n_matches=3)
+
+    @pytest.mark.parametrize("doc", [[1], "matches", 3, None, {"matches": {"a": 1}}])
+    def test_document_without_match_list(self, tmp_path, doc):
+        path = write(tmp_path, "d.json", json.dumps(doc))
+        with pytest.raises(MalformedRecord, match="'matches' list"):
+            ingest(path, "riot-match-json", n_matches=3)
+
+    def test_invalid_json(self, tmp_path):
+        path = write(tmp_path, "d.json", '{"matches": [')
+        with pytest.raises(MalformedRecord, match="invalid JSON"):
+            ingest(path, "riot-match-json", n_matches=3)
+
+
+def with_bad_line(text, line_no, newline="\n"):
+    """``text`` as bytes with its line ``line_no`` (from 1) replaced by the
+    undecodable byte 0xff."""
+    lines = text.splitlines()
+    lines[line_no - 1] = "\udcff"  # surrogateescape spells the byte 0xff
+    return newline.join(lines).encode("utf-8", "surrogateescape") + newline.encode()
+
+
+class TestUndecodable:
+    """Invalid UTF-8 is a MalformedRecord at the first undecodable line."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_third_line(self, tmp_path, fmt, newline):
+        text = CSV_FIXTURE if fmt == "csv" else csv_to_jsonl(CSV_FIXTURE)
+        path = tmp_path / "d"
+        path.write_bytes(with_bad_line(text, 3, newline))
+        with pytest.raises(MalformedRecord, match="^line 3: invalid UTF-8$"):
+            ingest(path, fmt, n_matches=3)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_line_past_the_first_read(self, tmp_path, fmt):
+        # the lines before the undecodable one span many decoded blocks
+        rows = "".join(f"carol,{k},1,1,1,1000,1,11\n" for k in range(2000))
+        text = CSV_FIXTURE + rows
+        if fmt == "json-lines":
+            text = csv_to_jsonl(text)
+        n_lines = len(text.splitlines())
+        path = tmp_path / "d"
+        path.write_bytes(with_bad_line(text + "x\n", n_lines + 1))
+        with pytest.raises(MalformedRecord, match=f"^line {n_lines + 1}: invalid UTF-8$"):
+            ingest(path, fmt, n_matches=3)
+
+    def test_earlier_bad_row_reported_first(self, tmp_path):
+        # the malformed row and the undecodable line share one decoded block
+        bad = CSV_FIXTURE.replace("alice,1,4,2,6,9500,0,11", "alice,1,x,2,6,9500,0,11")
+        path = tmp_path / "d.csv"
+        path.write_bytes(with_bad_line(bad, 5))
+        with pytest.raises(MalformedRecord, match="^line 3: .*assists"):
+            ingest(path, "csv", n_matches=3)
+
+    def test_riot_export(self, tmp_path):
+        text = json.dumps(json.loads(csv_to_riot_json(CSV_FIXTURE)), indent=1)
+        path = tmp_path / "d.json"
+        path.write_bytes(with_bad_line(text, 7))
+        with pytest.raises(MalformedRecord, match="^line 7: invalid UTF-8$"):
+            ingest(path, "riot-match-json", n_matches=3)
 
 
 # ---------------------------------------------------------------------------

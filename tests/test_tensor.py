@@ -1,8 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
 
+import matchfactor.tensor as tensor_module
 from matchfactor import (
     as_tensor3,
     fold,
@@ -14,7 +18,12 @@ from matchfactor import (
     unfold,
 )
 
-from helpers import khatri_rao_by_loops, kruskal_by_loops, unfold_by_loops
+from helpers import (
+    khatri_rao_by_loops,
+    kruskal_by_loops,
+    save_tensor3_by_json_dump,
+    unfold_by_loops,
+)
 
 
 class TestValidation:
@@ -204,3 +213,118 @@ class TestSerialization:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError, match="container"):
             load_tensor3(path)
+
+
+VALID_CONTAINER = (
+    '{"dims": [1, 1, 2], "format": "dense-tensor3", "layout": "first-index-slowest", '
+    '"metadata": {}, "values": [0.5, 1], "version": 1}'
+)
+
+
+def container(**fields):
+    """The text of ``VALID_CONTAINER`` with fields replaced (or, for
+    ``None``, removed)."""
+    doc = json.loads(VALID_CONTAINER)
+    doc.update(fields)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
+
+
+# (text, what the error names): containers that load_tensor3 must refuse
+MALFORMED_CONTAINERS = {
+    "list-document": ("[1, 2]", "container"),
+    "invalid-json": ('{"dims": [1', "JSON"),
+    "missing-dims": (container(dims=None), "dims"),
+    "two-dims": (container(dims=[1, 2]), "dims"),
+    "zero-dim": (container(dims=[1, 0, 2]), "dims"),
+    "float-dim": (container(dims=[1, 1, 2.0]), "dims"),
+    "string-dim": (container(dims=[1, 1, "2"]), "dims"),
+    "bool-dim": (container(dims=[True, 1, 2]), "dims"),
+    "dims-not-list": (container(dims=2), "dims"),
+    "missing-values": (container(values=None), "values"),
+    "values-not-list": (container(values="0.5 1"), "values"),
+    "string-value": (container(values=[0.5, "1"]), "values"),
+    "bool-value": (container(values=[0.5, True]), "values"),
+    "null-value": (container(values=[0.5, None]), "values"),
+    "nested-values": (container(values=[[0.5], [1]]), "values"),
+    "huge-int-value": (container(values=[0.5, 10**400]), "values"),
+    "nan-value": (container(values=[0.5, float("nan")]), "values"),
+    "value-count": (container(values=[0.5]), "value count"),
+    "metadata-list": (container(metadata=[1]), "metadata"),
+    "metadata-string": (container(metadata="x"), "metadata"),
+}
+
+
+class TestMalformedContainer:
+    def test_valid_fixture_loads(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(VALID_CONTAINER)
+        t, meta = load_tensor3(path)
+        np.testing.assert_array_equal(t, [[[0.5, 1.0]]])
+        assert meta == {}
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CONTAINERS))
+    def test_raises_value_error_naming_path(self, tmp_path, case):
+        text, names = MALFORMED_CONTAINERS[case]
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=names) as exc:
+            load_tensor3(path)
+        assert str(path) in str(exc.value)
+
+
+# values the container writer must spell exactly as json.dump does
+ODD_FLOATS = [
+    *(0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308),  # zeros, subnormals
+    *(1.0, 123456789.0, 1e16, -1e16, 1e22, 2.0**53, 2.0**53 + 2),  # integral floats
+    *(0.1, 1 / 3, 1.7976931348623157e308),
+]
+JSON_SCALARS = (
+    hst.none()
+    | hst.booleans()
+    | hst.integers(-(2**70), 2**70)
+    | hst.floats()  # NaN and infinities too: both encoders spell them alike
+    | hst.text(max_size=6)
+)
+JSON_VALUES = hst.recursive(
+    JSON_SCALARS,
+    lambda inner: (
+        hst.lists(inner, max_size=3) | hst.dictionaries(hst.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+@hst.composite
+def tensors(draw):
+    dims = draw(hst.tuples(*[hst.integers(1, 4)] * 3))
+    values = hst.sampled_from(ODD_FLOATS) | hst.floats(allow_nan=False, allow_infinity=False)
+    size = math.prod(dims)
+    return np.array(draw(hst.lists(values, min_size=size, max_size=size))).reshape(dims)
+
+
+class TestWriterBytes:
+    """``save_tensor3`` writes exactly the bytes of ``json.dump``."""
+
+    @pytest.fixture(autouse=True)
+    def small_slices(self, monkeypatch):
+        # several slices per tensor, so the joins between slices are checked
+        monkeypatch.setattr(tensor_module, "_SLICE", 5)
+
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        t=tensors(),
+        metadata=hst.none() | hst.dictionaries(hst.text(max_size=8), JSON_VALUES, max_size=4),
+    )
+    def test_matches_json_dump(self, tmp_path, t, metadata):
+        save_tensor3(tmp_path / "new.json", t, metadata)
+        save_tensor3_by_json_dump(tmp_path / "ref.json", t, metadata)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    def test_zero_signs_kept(self, tmp_path):
+        t = np.array([0.0, -0.0, 0.0, -0.0]).reshape(1, 2, 2)
+        save_tensor3(tmp_path / "t.json", t)
+        assert '"values": [0.0, -0.0, 0.0, -0.0]' in (tmp_path / "t.json").read_text()
+        back, _ = load_tensor3(tmp_path / "t.json")
+        np.testing.assert_array_equal(np.signbit(back), np.signbit(t))
