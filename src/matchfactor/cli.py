@@ -20,13 +20,7 @@ import numpy as np
 
 from . import __version__
 from .data import FEATURES, ingest, normalize_minmax
-from .decompose import (
-    DecomposeConfig,
-    fit_restarts,
-    model_to_doc,
-    rank_scan,
-    select_best_model,
-)
+from .decompose import DecomposeConfig, model_to_doc, rank_scan
 from .errors import MatchFactorError
 from .patterns import (
     cluster_feature_trajectories,
@@ -70,6 +64,14 @@ def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _restart_warnings(records) -> list[str]:
+    """One message per failed restart, also printed to stderr."""
+    messages = [f"rank {r.rank} restart {r.restart} failed: {r.error}" for r in records if r.failed]
+    for message in messages:
+        print(f"warning: {message}", file=sys.stderr)
+    return messages
 
 
 def _parse_ranks(text: str) -> list[int]:
@@ -140,7 +142,7 @@ def cmd_rank_scan(args: argparse.Namespace) -> int:
         max_outer_iters=args.max_iters,
         rel_tol=args.tol,
     )
-    result = rank_scan(t, ranks, cfg, threads=args.threads)
+    result = rank_scan(t, ranks, cfg)
 
     rows = [
         [
@@ -160,12 +162,7 @@ def cmd_rank_scan(args: argparse.Namespace) -> int:
         ["rank", "restart", "seed", "core_consistency", "fit", "converged", "error"],
         rows,
     )
-    failures = [rec for rec in result.records if rec.failed]
-    for rec in failures:
-        print(
-            f"warning: rank {rec.rank} restart {rec.restart} failed: {rec.error}",
-            file=sys.stderr,
-        )
+    failures = _restart_warnings(result.records)
     best = {
         str(rank): {
             "core_consistency": rec.core_consistency,
@@ -214,12 +211,45 @@ def _silhouette_sweep(
     return results, warnings
 
 
+def _container_metadata(path, metadata: dict, shape) -> tuple[list, list, np.ndarray | None]:
+    """Feature names, player ids and winner matrix of a container, checked against its dims."""
+    i_dim, j_dim, k_dim = shape
+
+    def names(key: str, count: int, default: list[str]) -> list[str]:
+        value = metadata.get(key, default)
+        if not (
+            isinstance(value, list)
+            and all(isinstance(v, str) for v in value)
+            and len(set(value)) == len(value) == count
+        ):
+            raise ValueError(f"{path}: metadata {key!r} must be a list of {count} distinct strings")
+        return value
+
+    feature_names = names(
+        "feature_names", j_dim, [FEATURES[j] if j < len(FEATURES) else str(j) for j in range(j_dim)]
+    )
+    player_ids = names("player_ids", i_dim, [f"row{i}" for i in range(i_dim)])
+    winner = metadata.get("winner")
+    if winner is not None:
+        try:
+            winner = np.asarray(winner)
+        except ValueError:  # a ragged nesting of lists
+            winner = np.empty(0)
+        if (
+            winner.shape != (i_dim, k_dim)
+            or winner.dtype.kind not in "biuf"
+            or not np.isin(winner, (0, 1)).all()
+        ):
+            raise ValueError(f"{path}: metadata 'winner' must be a {i_dim} x {k_dim} array of 0/1")
+        winner = winner.astype(float)
+    return feature_names, player_ids, winner
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _config_echo(args)
     out = _out_dir(args)
     t, metadata = load_tensor3(args.input)
-    feature_names = metadata.get("feature_names", list(FEATURES))
-    player_ids = metadata.get("player_ids", [f"row{i}" for i in range(t.shape[0])])
+    feature_names, player_ids, winner = _container_metadata(args.input, metadata, t.shape)
 
     rank = args.rank
     if rank is None:
@@ -238,8 +268,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         max_outer_iters=args.max_iters,
         rel_tol=args.tol,
     )
-    models = fit_restarts(t, rank, cfg, threads=args.threads)
-    model, cc = select_best_model(t, models)
+    # a one-rank scan: the restarts' records carry their models and consistencies
+    scan = rank_scan(t, [rank], cfg)
+    restart_warnings = _restart_warnings(scan.records)
+    best = scan.best(rank)
+    model, cc = best.model, best.core_consistency
     _write_json(
         out / "factor_model.json",
         model_to_doc(model, core_consistency_value=cc, config=config),
@@ -329,12 +362,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     rows = []
     for ci in range(len(trajectories.cluster_sizes)):
         for j in range(t.shape[1]):
-            name = feature_names[j] if j < len(feature_names) else str(j)
             for step in range(t.shape[2]):
                 rows.append(
                     [
                         ci,
-                        name,
+                        feature_names[j],
                         step,
                         _fmt(trajectories.means[ci, j, step]),
                         _fmt(trajectories.stderrs[ci, j, step]),
@@ -348,11 +380,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     )
 
     # win-rate distributions per cluster
-    winner = metadata.get("winner")
     if winner is not None:
-        stats = win_rate_stats(
-            np.asarray(winner, dtype=float), assign.labels, mode=args.kde_mode
-        )
+        stats = win_rate_stats(winner, assign.labels, mode=args.kde_mode)
         rows = []
         for ci in range(len(stats.cluster_sizes)):
             for g, d in zip(stats.grid, stats.densities[ci]):
@@ -389,7 +418,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "k": k_main,
             "cluster_sizes": list(assign.cluster_sizes()),
             "silhouette": assign.silhouette,
-            "warnings": warnings,
+            "warnings": restart_warnings + warnings,
         },
     )
     print(
@@ -484,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--tol", type=float, default=1e-8)
     p_scan.add_argument("--max-iters", type=int, default=500)
-    p_scan.add_argument("--threads", type=int, default=1, help="restart parallelism")
+    p_scan.add_argument("--threads", type=int, default=1, help="ignored; kept for compatibility")
     add_common(p_scan)
     p_scan.set_defaults(func=cmd_rank_scan)
 
@@ -500,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--kde-mode", choices=["player-mean", "raw"], default="player-mean"
     )
-    p_an.add_argument("--threads", type=int, default=1, help="restart parallelism")
+    p_an.add_argument("--threads", type=int, default=1, help="ignored; kept for compatibility")
     add_common(p_an)
     p_an.set_defaults(func=cmd_analyze)
 

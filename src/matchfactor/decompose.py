@@ -25,15 +25,16 @@ sweep-to-sweep monotonicity allows as an exact fit approaches 1e-6 and
 below.  Below a relative fit of ``1e-4`` the sweep therefore recomputes the
 dense residual ``||X - X_hat||`` instead.
 
-Multi-restart orchestration, the core consistency diagnostic, and rank
-selection by the consistency-curve knee live here as well.
+``fit_restarts``, ``decompose`` and ``rank_scan`` run their restarts one
+after another in one loop, ``_fit_rank``, which records a solver failure
+instead of raising it.  One rule picks a model everywhere: highest core
+consistency, then lower fit error, then lower seed.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -106,6 +107,8 @@ class FactorModel:
 
 @dataclass(frozen=True)
 class RestartRecord:
+    """One (rank, restart) fit: its diagnostics and, unless it failed, its model."""
+
     rank: int
     restart: int
     seed: int
@@ -113,6 +116,7 @@ class RestartRecord:
     fit: float
     converged: bool
     error: str | None = None
+    model: FactorModel | None = field(default=None, compare=False, repr=False)
 
     @property
     def failed(self) -> bool:
@@ -127,15 +131,13 @@ class RankScanResult:
     selected_rank: int
     rationale: str
 
+    def best(self, rank: int) -> RestartRecord:
+        """Best restart at ``rank``; raises MatchFactorError if all failed there."""
+        return _best([rec for rec in self.records if rec.rank == rank], rank)
+
     def best_by_rank(self) -> dict[int, RestartRecord]:
-        best: dict[int, RestartRecord] = {}
-        for rec in self.records:
-            if rec.failed:
-                continue
-            cur = best.get(rec.rank)
-            if cur is None or _restart_order(rec) < _restart_order(cur):
-                best[rec.rank] = rec
-        return best
+        """``best`` of every rank with at least one successful restart."""
+        return _best_by_rank(self.records)
 
 
 def _restart_order(rec: RestartRecord) -> tuple[float, float, int]:
@@ -230,42 +232,78 @@ def _anls_single(t: np.ndarray, rank: int, seed: int, cfg: DecomposeConfig) -> F
     )
 
 
-def _validate_decompose_inputs(t: np.ndarray, rank: int) -> np.ndarray:
+def _validate_decompose_inputs(t: np.ndarray, ranks: list[int]) -> np.ndarray:
+    """Check the tensor once and every rank of ``ranks`` before any fit."""
     t = as_tensor3(t, require_nonnegative=True)
     if frobenius_norm(t) == 0.0:
         raise DegenerateTensor("cannot decompose an all-zero tensor")
     i, j, k = t.shape
     max_rank = min(j * k, i * k, i * j)
-    if not 1 <= rank <= max_rank:
-        raise ValueError(f"rank must be in [1, {max_rank}], got {rank}")
+    for rank in ranks:
+        if not 1 <= rank <= max_rank:
+            raise ValueError(f"rank must be in [1, {max_rank}], got {rank}")
     return t
 
 
-def fit_restarts(
-    t: np.ndarray, rank: int, cfg: DecomposeConfig | None = None, threads: int = 1
-) -> list[FactorModel]:
-    """Run ``cfg.n_restarts`` independent ANLS fits.
+def _scored(t: np.ndarray, model: FactorModel, restart: int) -> RestartRecord:
+    return RestartRecord(
+        rank=model.rank, restart=restart, seed=model.seed, fit=model.fit,
+        core_consistency=core_consistency(t, model), converged=model.converged, model=model,
+    )
 
-    Restart ``i`` seeds its generator with ``cfg.seed + i``, so results are
-    identical whether restarts run sequentially or on a thread pool.
+
+def _fit_rank(t: np.ndarray, rank: int, cfg: DecomposeConfig) -> list[RestartRecord]:
+    """Fit the restarts of one rank of a validated tensor, one after another.
+
+    Restart ``i`` seeds its generator with ``cfg.seed + i``.  A solver
+    failure becomes a failed record instead of an exception.
+    """
+    records = []
+    for restart in range(cfg.n_restarts):
+        seed = cfg.seed + restart
+        try:
+            model = _anls_single(t, rank, seed, cfg)
+        except MatchFactorError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            records.append(RestartRecord(rank, restart, seed, math.nan, math.nan, False, error))
+        else:
+            records.append(_scored(t, model, restart))
+    return records
+
+
+def _succeeded(records: list[RestartRecord], rank: int) -> list[RestartRecord]:
+    ok = [rec for rec in records if not rec.failed]
+    if not ok:
+        first = f"; first error: {records[0].error}" if records else ""
+        raise MatchFactorError(f"no restart at rank {rank} succeeded{first}")
+    return ok
+
+
+def _best(records: list[RestartRecord], rank: int) -> RestartRecord:
+    return min(_succeeded(records, rank), key=_restart_order)
+
+
+def _best_by_rank(records) -> dict[int, RestartRecord]:
+    ranks = sorted({rec.rank for rec in records if not rec.failed})
+    return {rank: _best([rec for rec in records if rec.rank == rank], rank) for rank in ranks}
+
+
+def fit_restarts(t: np.ndarray, rank: int, cfg: DecomposeConfig | None = None) -> list[FactorModel]:
+    """Models of the successful restarts among ``cfg.n_restarts`` ANLS fits.
+
+    Restart ``i`` seeds its generator with ``cfg.seed + i``.  Raises
+    :class:`MatchFactorError`, naming the first error, if every restart fails.
     """
     cfg = cfg or DecomposeConfig()
-    t = _validate_decompose_inputs(t, rank)
-    seeds = [cfg.seed + i for i in range(cfg.n_restarts)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            models = list(pool.map(lambda s: _anls_single(t, rank, s, cfg), seeds))
-    else:
-        models = [_anls_single(t, rank, s, cfg) for s in seeds]
-    return models
+    t = _validate_decompose_inputs(t, [rank])
+    return [rec.model for rec in _succeeded(_fit_rank(t, rank, cfg), rank)]
 
 
-def decompose(
-    t: np.ndarray, rank: int, cfg: DecomposeConfig | None = None, threads: int = 1
-) -> FactorModel:
-    """Best fit (lowest relative error, then lowest seed) over all restarts."""
-    models = fit_restarts(t, rank, cfg, threads=threads)
-    return min(models, key=lambda m: (m.fit, m.seed))
+def decompose(t: np.ndarray, rank: int, cfg: DecomposeConfig | None = None) -> FactorModel:
+    """The restart with the highest core consistency (the rule of ``select_best_model``)."""
+    cfg = cfg or DecomposeConfig()
+    t = _validate_decompose_inputs(t, [rank])
+    return _best(_fit_rank(t, rank, cfg), rank).model
 
 
 def core_consistency(t: np.ndarray, model: FactorModel) -> float:
@@ -295,16 +333,15 @@ def core_consistency(t: np.ndarray, model: FactorModel) -> float:
 def select_best_model(
     t: np.ndarray, models: list[FactorModel]
 ) -> tuple[FactorModel, float]:
-    """Pick the restart with the highest core consistency.
+    """Pick the model with the highest core consistency.
 
     Ties break toward lower fit error, then lower seed.  Returns the model
     and its consistency value.
     """
     if not models:
         raise ValueError("no models to select from")
-    scored = [(core_consistency(t, m), m) for m in models]
-    best_cc, best = min(scored, key=lambda cm: (-cm[0], cm[1].fit, cm[1].seed))
-    return best, best_cc
+    best = min((_scored(t, m, i) for i, m in enumerate(models)), key=_restart_order)
+    return best.model, best.core_consistency
 
 
 def _select_knee(ranks: list[int], best_cc: list[float]) -> tuple[int, str]:
@@ -339,12 +376,7 @@ def _select_knee(ranks: list[int], best_cc: list[float]) -> tuple[int, str]:
     )
 
 
-def rank_scan(
-    t: np.ndarray,
-    ranks,
-    cfg: DecomposeConfig | None = None,
-    threads: int = 1,
-) -> RankScanResult:
+def rank_scan(t: np.ndarray, ranks, cfg: DecomposeConfig | None = None) -> RankScanResult:
     """Fit every rank in ``ranks`` with restarts and pick the consistency knee.
 
     A solver failure is recorded on its restart's record instead of aborting
@@ -356,51 +388,12 @@ def rank_scan(
     ranks = sorted({int(r) for r in ranks})
     if not ranks:
         raise ValueError("rank scan range must be non-empty")
-    t = _validate_decompose_inputs(t, ranks[0])
-
-    def one_restart(rank: int, restart: int) -> RestartRecord:
-        seed = cfg.seed + restart
-        try:
-            model = _anls_single(t, rank, seed, cfg)
-        except MatchFactorError as exc:
-            return RestartRecord(
-                rank=rank,
-                restart=restart,
-                seed=seed,
-                core_consistency=float("nan"),
-                fit=float("nan"),
-                converged=False,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        return RestartRecord(
-            rank=rank,
-            restart=restart,
-            seed=seed,
-            core_consistency=core_consistency(t, model),
-            fit=model.fit,
-            converged=model.converged,
-        )
-
-    records: list[RestartRecord] = []
-    best_cc: list[float] = []
-    scanned: list[int] = []
-    for rank in ranks:
-        _validate_decompose_inputs(t, rank)
-        jobs = [(rank, i) for i in range(cfg.n_restarts)]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rank_records = list(pool.map(lambda job: one_restart(*job), jobs))
-        else:
-            rank_records = [one_restart(*job) for job in jobs]
-        records.extend(rank_records)
-        ok = [r.core_consistency for r in rank_records if not r.failed]
-        scanned.append(rank)
-        best_cc.append(max(ok) if ok else float("-inf"))
-
-    selected, rationale = _select_knee(scanned, best_cc)
-    return RankScanResult(
-        records=tuple(records), selected_rank=selected, rationale=rationale
-    )
+    t = _validate_decompose_inputs(t, ranks)
+    records = tuple(rec for rank in ranks for rec in _fit_rank(t, rank, cfg))
+    best = _best_by_rank(records)
+    best_cc = [best[r].core_consistency if r in best else float("-inf") for r in ranks]
+    selected, rationale = _select_knee(ranks, best_cc)
+    return RankScanResult(records=records, selected_rank=selected, rationale=rationale)
 
 
 def align_components(

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import matchfactor
+from matchfactor import kruskal_tensor, planted_factors, save_tensor3
 from matchfactor.cli import main
 
 from test_data import RIOT_SHAPES, csv_to_jsonl, csv_to_riot_json, riot_fixture_with, with_bad_line
+from test_decompose import fail_seeds
 from test_tensor import MALFORMED_CONTAINERS
 
 CSV_FIXTURE = """player_id,match_index,assists,deaths,kills,gold,winner,arena_id
@@ -350,6 +352,29 @@ class TestAnalyze:
         assert seq["weights"] == par["weights"]
         assert seq["factors"] == par["factors"]
 
+    def test_failed_restart_becomes_a_warning(self, tmp_path, monkeypatch, capsys):
+        out = synth_and_ingest(tmp_path)
+        capsys.readouterr()
+        fail_seeds(monkeypatch, {1})
+        assert self.analyze(out) == 0
+        message = "rank 3 restart 1 failed: MaxIterationsExceeded: seed 1 stalled"
+        assert f"warning: {message}\n" in capsys.readouterr().err
+        summary = json.loads((out / "analyze_summary.json").read_text())
+        assert summary["warnings"][0] == message
+        assert json.loads((out / "factor_model.json").read_text())["seed"] == 0
+
+    def test_every_restart_failing_is_an_error(self, tmp_path, monkeypatch, capsys):
+        out = synth_and_ingest(tmp_path)
+        capsys.readouterr()
+        fail_seeds(monkeypatch, {0, 1})
+        assert self.analyze(out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == (
+            "error: no restart at rank 3 succeeded; "
+            "first error: MaxIterationsExceeded: seed 0 stalled"
+        )
+        assert not (out / "factor_model.json").exists()
+
     def test_kde_raw_mode(self, tmp_path):
         out = synth_and_ingest(tmp_path)
         assert self.analyze(out, "--kde-mode", "raw") == 0
@@ -409,3 +434,30 @@ class TestMalformedInputs:
         args = ["--format", fmt, "--matches", 3, "--out-dir", tmp_path / "o"]
         assert run("ingest", "--input", path, *args) == 1
         assert capsys.readouterr().err.startswith("error: line 3: invalid UTF-8")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("player_ids", 5),
+            ("player_ids", ["a"]),
+            ("player_ids", ["a"] * 12),
+            ("player_ids", list(range(12))),
+            ("feature_names", 3),
+            ("feature_names", ["a"]),
+            ("feature_names", ["a", "b", "c", None]),
+            ("winner", "x"),
+            ("winner", [[1] * 10] * 11),
+            ("winner", [[1] * 10] * 11 + [[1] * 9]),
+            ("winner", [[2] * 10] * 12),
+            ("winner", [["1"] * 10] * 12),
+        ],
+        ids=lambda v: repr(v)[:24],
+    )
+    def test_container_metadata(self, tmp_path, capsys, key, value):
+        users, feats, time, _ = planted_factors(12, 4, 10, 2, seed=0)
+        path = tmp_path / "t.json"
+        save_tensor3(path, kruskal_tensor([1.0, 1.0], users, feats, time), {key: value})
+        out = tmp_path / "o"
+        assert run("analyze", "--input", path, "--rank", 2, "--restarts", 1, "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: metadata {key!r} must be")
+        assert not (out / "factor_model.json").exists()

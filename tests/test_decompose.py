@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from matchfactor import (
     DecomposeConfig,
     DegenerateTensor,
+    MatchFactorError,
+    MaxIterationsExceeded,
     align_components,
     as_factor_model,
     core_consistency,
@@ -23,6 +26,24 @@ from matchfactor import (
 from helpers import kruskal_by_loops
 
 FAST = DecomposeConfig(n_restarts=2, max_outer_iters=200)
+
+# as a package attribute, matchfactor.decompose is the function, not the module
+DECOMPOSE = importlib.import_module("matchfactor.decompose")
+
+
+def fail_seeds(monkeypatch, seeds):
+    """Make ``_anls_single`` raise for the given seeds; returns the seeds it was called with."""
+    fit = DECOMPOSE._anls_single
+    calls = []
+
+    def failing(t, rank, seed, cfg):
+        calls.append(seed)
+        if seed in seeds:
+            raise MaxIterationsExceeded(f"seed {seed} stalled")
+        return fit(t, rank, seed, cfg)
+
+    monkeypatch.setattr(DECOMPOSE, "_anls_single", failing)
+    return calls
 
 
 def planted_tensor(dims=(30, 4, 20), rank=3, seed=0):
@@ -105,17 +126,17 @@ class TestDecompose:
         for f1, f2 in zip(m1.factors, m2.factors):
             np.testing.assert_array_equal(f1, f2)
 
-    def test_thread_pool_matches_sequential(self):
-        t, _ = planted_tensor(seed=6)
-        seq = fit_restarts(t, 2, DecomposeConfig(n_restarts=4, max_outer_iters=80))
-        par = fit_restarts(
-            t, 2, DecomposeConfig(n_restarts=4, max_outer_iters=80), threads=3
-        )
-        for ms, mp in zip(seq, par):
-            assert ms.seed == mp.seed
-            np.testing.assert_array_equal(ms.weights, mp.weights)
-            for f1, f2 in zip(ms.factors, mp.factors):
-                np.testing.assert_array_equal(f1, f2)
+    def test_picks_the_select_best_model_choice(self):
+        t, _ = planted_tensor(dims=(20, 4, 12), rank=3, seed=11)
+        t = t + 0.2 * np.random.default_rng(11).random(t.shape)
+        cfg = DecomposeConfig(n_restarts=5, max_outer_iters=60)
+        models = fit_restarts(t, 4, cfg)
+        chosen, _ = select_best_model(t, models)
+        # here the most consistent restart is not the one with the lowest fit
+        assert min(models, key=lambda m: m.fit).seed != chosen.seed
+        model = decompose(t, 4, cfg)
+        assert model.seed == chosen.seed
+        np.testing.assert_array_equal(model.weights, chosen.weights)
 
     def test_rejects_zero_tensor(self):
         with pytest.raises(DegenerateTensor):
@@ -133,6 +154,36 @@ class TestDecompose:
             decompose(t, 0, FAST)
         with pytest.raises(ValueError, match="rank"):
             decompose(t, 10, FAST)
+
+
+class TestFailedRestarts:
+    CFG = DecomposeConfig(n_restarts=3, max_outer_iters=60)
+
+    def test_one_failure_is_skipped(self, monkeypatch):
+        t, _ = planted_tensor(dims=(10, 4, 8), rank=2, seed=4)
+        fail_seeds(monkeypatch, {1})
+        assert [m.seed for m in fit_restarts(t, 2, self.CFG)] == [0, 2]
+        assert decompose(t, 2, self.CFG).seed in (0, 2)
+        records = rank_scan(t, [2], self.CFG).records
+        assert [r.failed for r in records] == [False, True, False]
+        assert records[1].error == "MaxIterationsExceeded: seed 1 stalled"
+        assert records[1].model is None and records[0].model.seed == 0
+
+    @pytest.mark.parametrize("fit", [fit_restarts, decompose])
+    def test_all_failures_raise_naming_the_first(self, monkeypatch, fit):
+        t, _ = planted_tensor(dims=(10, 4, 8), rank=2, seed=4)
+        fail_seeds(monkeypatch, {0, 1, 2})
+        with pytest.raises(MatchFactorError, match="rank 2.*MaxIterationsExceeded: seed 0 stalled"):
+            fit(t, 2, self.CFG)
+
+    def test_scan_records_a_rank_where_all_fail(self, monkeypatch):
+        t, _ = planted_tensor(dims=(10, 4, 8), rank=2, seed=4)
+        fail_seeds(monkeypatch, {0, 1, 2})
+        result = rank_scan(t, [1, 2], self.CFG)
+        assert all(r.failed for r in result.records)
+        assert result.best_by_rank() == {}
+        with pytest.raises(MatchFactorError, match="rank 2"):
+            result.best(2)
 
 
 class TestIndeterminacies:
@@ -271,6 +322,22 @@ class TestRankScan:
         t, _ = planted_tensor(dims=(40, 4, 25), rank=3, seed=26)
         result = rank_scan(t, range(1, 6), DecomposeConfig(n_restarts=3))
         assert result.selected_rank == 3
+
+    def test_rank_range_checked_before_the_first_fit(self, monkeypatch):
+        t, _ = planted_tensor(dims=(10, 4, 8), rank=2, seed=4)
+        calls = fail_seeds(monkeypatch, set())
+        with pytest.raises(ValueError, match="got 33"):
+            rank_scan(t, [1, 2, 33], DecomposeConfig(n_restarts=2))
+        assert calls == []
+
+    def test_best_by_rank_follows_select_best_model(self):
+        t, _ = planted_tensor(dims=(10, 4, 8), rank=2, seed=4)
+        cfg = DecomposeConfig(n_restarts=3, max_outer_iters=60)
+        result = rank_scan(t, [2, 3], cfg)
+        for rank, rec in result.best_by_rank().items():
+            chosen, cc = select_best_model(t, fit_restarts(t, rank, cfg))
+            assert (rec.seed, rec.core_consistency) == (chosen.seed, cc)
+            assert rec.model.seed == rec.seed
 
     def test_empty_range_rejected(self):
         t, _ = planted_tensor(dims=(10, 4, 8), rank=2, seed=4)
