@@ -52,7 +52,6 @@ from .patterns import (
     ClusterAssignment,
     ClusterTrajectories,
     FeatureSignature,
-    TemporalProfile,
     WinRateStats,
     cluster_feature_trajectories,
     feature_membership,

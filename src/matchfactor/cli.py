@@ -60,6 +60,13 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _cells(*arrays: np.ndarray):
+    """One row per index of the equally shaped ``arrays``, in C order: the
+    index, then each array's value there."""
+    for idx in np.ndindex(arrays[0].shape):
+        yield [*idx, *(_fmt(a[idx]) for a in arrays)]
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -245,22 +252,25 @@ def _container_metadata(path, metadata: dict, shape) -> tuple[list, list, np.nda
     return feature_names, player_ids, winner
 
 
+def _selected_rank(path: Path) -> int:
+    """The integer ``selected_rank`` of a ``rank_selection.json``."""
+    if not path.exists():
+        raise MatchFactorError("no --rank given and no rank_selection.json in the output directory")
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    rank = doc.get("selected_rank") if isinstance(doc, dict) else None
+    if not isinstance(rank, int) or isinstance(rank, bool):
+        raise ValueError(f"{path}: 'selected_rank' must be an integer")
+    return rank
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _config_echo(args)
     out = _out_dir(args)
     t, metadata = load_tensor3(args.input)
     feature_names, player_ids, winner = _container_metadata(args.input, metadata, t.shape)
 
-    rank = args.rank
-    if rank is None:
-        selection_file = out / "rank_selection.json"
-        if selection_file.exists():
-            with open(selection_file, "r", encoding="utf-8") as fh:
-                rank = int(json.load(fh)["selected_rank"])
-        else:
-            raise MatchFactorError(
-                "no --rank given and no rank_selection.json in the output directory"
-            )
+    rank = args.rank if args.rank is not None else _selected_rank(out / "rank_selection.json")
 
     cfg = DecomposeConfig(
         seed=args.seed,
@@ -327,51 +337,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     # membership modulated in time, per cluster and component
     profile = temporal_modulation(model, assign.labels)
-    rows = []
-    for ci in range(len(profile.cluster_sizes)):
-        for r in range(model.rank):
-            for step in range(t.shape[2]):
-                rows.append(
-                    [
-                        ci,
-                        r,
-                        step,
-                        _fmt(profile.means[ci, r, step]),
-                        _fmt(profile.stderrs[ci, r, step]),
-                    ]
-                )
     _write_csv(
         out / "temporal_profiles.csv",
         config,
         ["cluster", "component", "step", "mean", "stderr"],
-        rows,
+        _cells(profile.means, profile.stderrs),
     )
 
     # temporal activation of each component (time factor columns)
-    rows = [
-        [step, r, _fmt(model.factors[2][step, r])]
-        for r in range(model.rank)
-        for step in range(t.shape[2])
-    ]
+    rows = ([step, r, a] for r, step, a in _cells(model.factors[2].T))
     _write_csv(
         out / "component_activity.csv", config, ["step", "component", "activation"], rows
     )
 
     # raw per-cluster feature trajectories (validation view)
     trajectories = cluster_feature_trajectories(t, assign.labels)
-    rows = []
-    for ci in range(len(trajectories.cluster_sizes)):
-        for j in range(t.shape[1]):
-            for step in range(t.shape[2]):
-                rows.append(
-                    [
-                        ci,
-                        feature_names[j],
-                        step,
-                        _fmt(trajectories.means[ci, j, step]),
-                        _fmt(trajectories.stderrs[ci, j, step]),
-                    ]
-                )
+    rows = (
+        [ci, feature_names[j], step, m, se]
+        for ci, j, step, m, se in _cells(trajectories.means, trajectories.stderrs)
+    )
     _write_csv(
         out / "feature_trajectories.csv",
         config,
@@ -382,10 +366,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     # win-rate distributions per cluster
     if winner is not None:
         stats = win_rate_stats(winner, assign.labels, mode=args.kde_mode)
-        rows = []
-        for ci in range(len(stats.cluster_sizes)):
-            for g, d in zip(stats.grid, stats.densities[ci]):
-                rows.append([ci, _fmt(g), _fmt(d)])
+        rows = ([ci, _fmt(stats.grid[g]), d] for ci, g, d in _cells(stats.densities))
         _write_csv(
             out / "win_rate_kde.csv", config, ["cluster", "win_rate", "density"], rows
         )
@@ -434,6 +415,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.spec is not None:
         with open(args.spec, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.spec}: a spec must be a JSON object")
+        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(SyntheticSpec)})
+        if unknown:
+            raise ValueError(f"{args.spec}: unknown spec keys {unknown}")
         for key in ("signatures", "group_sizes", "win_bias", "feature_scales"):
             if key in doc:
                 doc[key] = tuple(
@@ -548,6 +534,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MatchFactorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

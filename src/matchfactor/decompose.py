@@ -54,6 +54,10 @@ _DENSE_FIT_BELOW = 1e-4
 # plausible knee candidate.
 _CC_FLOOR = 50.0
 
+# A sweep whose fit moves by less than this (absolute) counts as converged,
+# whatever ``rel_tol`` says.
+_ABS_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DecomposeConfig:
@@ -61,17 +65,14 @@ class DecomposeConfig:
 
     max_outer_iters: int = 500
     rel_tol: float = 1e-8
-    abs_tol: float = 1e-9
     n_restarts: int = 5
     seed: int = 0
-    nnls_tol: float = 1e-8
-    nnls_max_iter: int = 500
 
     def __post_init__(self):
         if self.max_outer_iters < 1:
             raise ValueError("max_outer_iters must be >= 1")
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.nnls_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.rel_tol < math.inf:
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
 
@@ -169,12 +170,7 @@ def _anls_single(t: np.ndarray, rank: int, seed: int, cfg: DecomposeConfig) -> F
     def solve(mode: int, gram: np.ndarray, rhs: np.ndarray, warm: bool) -> np.ndarray:
         """Solve one mode, warm-started from the support of its current factor."""
         nonlocal weights
-        sol = solve_nnls_bpp(
-            NnlsProblem(gram, rhs),
-            tol=cfg.nnls_tol,
-            max_iter=cfg.nnls_max_iter,
-            passive=factors[mode].T > 0 if warm else None,
-        )
+        sol = solve_nnls_bpp(NnlsProblem(gram, rhs), passive=factors[mode].T > 0 if warm else None)
         factors[mode], weights = _normalize_columns(sol.x.T)
         return sol.x
 
@@ -206,7 +202,7 @@ def _anls_single(t: np.ndarray, rank: int, seed: int, cfg: DecomposeConfig) -> F
             fit = math.sqrt(fit_sq) / norm_t
         history.append(fit)
         delta = abs(prev_fit - fit)
-        if delta < cfg.abs_tol or delta < cfg.rel_tol * max(prev_fit, 1e-300):
+        if delta < _ABS_TOL or delta < cfg.rel_tol * max(prev_fit, 1e-300):
             converged = True
             break
         prev_fit = fit

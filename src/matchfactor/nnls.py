@@ -45,6 +45,12 @@ _FULL_EXCHANGE_BUDGET = 3
 
 _SYMMETRY_TOL = 1e-10
 
+# Absolute KKT tolerance the polished solution is certified against.
+_KKT_TOL = 1e-8
+
+# Bound on pivoting rounds; exceeded only by pathological cycling.
+_MAX_ROUNDS = 500
+
 
 @dataclass(frozen=True)
 class NnlsProblem:
@@ -134,12 +140,7 @@ def _passive_step(gram, system, rhs, passive, zero_tol):
     return x, y
 
 
-def solve_nnls_bpp(
-    problem: NnlsProblem,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    passive: np.ndarray | None = None,
-) -> NnlsSolution:
+def solve_nnls_bpp(problem: NnlsProblem, passive: np.ndarray | None = None) -> NnlsSolution:
     """Solve every column of the NNLS problem by block principal pivoting.
 
     Parameters
@@ -147,10 +148,6 @@ def solve_nnls_bpp(
     problem : NnlsProblem
         Normal equations ``(gram, rhs)``; gram must be symmetric positive
         semi-definite.
-    tol : float
-        Absolute KKT tolerance the returned solution is certified against.
-    max_iter : int
-        Bound on pivoting rounds; exceeded only by pathological cycling.
     passive : bool array of shape ``rhs.shape``, optional
         Initial passive set (True = free variable), e.g. the support of a
         previous solution.  ``None`` starts from the empty set.
@@ -158,12 +155,10 @@ def solve_nnls_bpp(
     Raises
     ------
     MaxIterationsExceeded
-        If pivoting does not settle within ``max_iter`` rounds.
+        If pivoting does not settle within ``_MAX_ROUNDS`` rounds.
     NumericallySingular
         If a passive-set system is singular even after the ridge.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     gram = problem.gram
     rhs = problem.rhs
     n, m = problem.n, problem.m
@@ -205,9 +200,9 @@ def solve_nnls_bpp(
         if pending.size == 0:
             break
         iterations += 1
-        if iterations > max_iter:
+        if iterations > _MAX_ROUNDS:
             raise MaxIterationsExceeded(
-                f"block principal pivoting did not settle in {max_iter} rounds"
+                f"block principal pivoting did not settle in {_MAX_ROUNDS} rounds"
             )
 
         improved = n_bad[pending] < best_infeasible[pending]
@@ -243,7 +238,7 @@ def solve_nnls_bpp(
     np.maximum(x, 0.0, out=x)
     # a nearly singular passive system can defeat the ridge-free solve: such
     # a column keeps its ridged pivoting solution, which is feasible
-    failed = _kkt_by_column(gram, rhs[:, cols], x[:, cols]) > tol
+    failed = _kkt_by_column(gram, rhs[:, cols], x[:, cols]) > _KKT_TOL
     x[:, cols[failed]] = pivoted[:, failed]
 
     return NnlsSolution(

@@ -10,12 +10,32 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .decompose import FactorModel
 from .errors import ConstantColumn, EmptyClusterUnrecoverable
 from .tensor import as_matrix, as_tensor3
+
+# Lloyd iterations per k-means run, and the relative inertia change that ends
+# a run early.
+_KMEANS_MAX_ITER = 300
+_KMEANS_TOL = 1e-6
+# Empty-cluster re-seeds allowed per run before the run is discarded.
+_RESEED_BUDGET = 10
+
+# KDE evaluation grid: points, and the bandwidths it extends past the data.
+_KDE_GRID_POINTS = 256
+_KDE_PAD = 4.0
+
+
+def _as_labels(labels: np.ndarray, n: int, per: str) -> np.ndarray:
+    labels = np.asarray(labels, dtype=int)
+    if labels.shape != (n,):
+        raise ValueError(f"labels must have one entry per {per}")
+    return labels
+
 
 # ---------------------------------------------------------------------------
 # feature signatures
@@ -130,47 +150,38 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return points[chosen].copy()
 
 
-def _lloyd(
-    points: np.ndarray,
-    centroids: np.ndarray,
-    max_iter: int,
-    tol: float,
-    reseed_budget: int = 10,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    k = centroids.shape[0]
-    prev_inertia = np.inf
-    labels = np.zeros(points.shape[0], dtype=int)
-    for _ in range(max_iter):
-        d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        closest = d2[np.arange(points.shape[0]), labels]
+def _assign(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid of every point and the squared distance to it."""
+    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(points.shape[0]), labels]
 
-        empty = [c for c in range(k) if not (labels == c).any()]
-        while empty:
-            if reseed_budget == 0:
+
+def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    k = centroids.shape[0]
+    reseeds = _RESEED_BUDGET
+    prev_inertia = np.inf
+    for _ in range(_KMEANS_MAX_ITER):
+        labels, closest = _assign(points, centroids)
+        while empty := [c for c in range(k) if not (labels == c).any()]:
+            if reseeds == 0:
                 raise EmptyClusterUnrecoverable(
                     f"could not populate all {k} clusters"
                 )
-            reseed_budget -= 1
-            # re-seed each empty cluster at the point farthest from its centroid
-            far = int(np.argmax(closest))
-            centroids[empty.pop()] = points[far]
-            d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-            labels = np.argmin(d2, axis=1)
-            closest = d2[np.arange(points.shape[0]), labels]
-            empty = [c for c in range(k) if not (labels == c).any()]
+            reseeds -= 1
+            # re-seed an empty cluster at the point farthest from its centroid
+            centroids[empty[-1]] = points[int(np.argmax(closest))]
+            labels, closest = _assign(points, centroids)
 
         inertia = float(closest.sum())
         for c in range(k):
             centroids[c] = points[labels == c].mean(axis=0)
-        if np.isfinite(prev_inertia) and prev_inertia - inertia <= tol * prev_inertia:
+        if np.isfinite(prev_inertia) and prev_inertia - inertia <= _KMEANS_TOL * prev_inertia:
             break
         prev_inertia = inertia
 
-    d2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(points.shape[0]), labels].sum())
-    return labels, centroids, inertia
+    labels, closest = _assign(points, centroids)
+    return labels, centroids, float(closest.sum())
 
 
 def kmeans(
@@ -178,8 +189,6 @@ def kmeans(
     k: int,
     n_init: int = 10,
     seed: int = 0,
-    max_iter: int = 300,
-    tol: float = 1e-6,
 ) -> ClusterAssignment:
     """Lloyd's algorithm with k-means++ seeding, best of ``n_init`` runs.
 
@@ -196,13 +205,11 @@ def kmeans(
 
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float] | None = None
-    failures = 0
     for _ in range(n_init):
         centroids = _kmeans_pp_init(points, k, rng)
         try:
-            labels, centroids, inertia = _lloyd(points, centroids, max_iter, tol)
+            labels, centroids, inertia = _lloyd(points, centroids)
         except EmptyClusterUnrecoverable:
-            failures += 1
             continue
         if best is None or inertia < best[2]:
             best = (labels, centroids, inertia)
@@ -232,9 +239,7 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarra
     non-empty clusters.
     """
     points = as_matrix(points)
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape != (points.shape[0],):
-        raise ValueError("labels must have one entry per point")
+    labels = _as_labels(labels, points.shape[0], "point")
     clusters = np.unique(labels)
     if clusters.size < 2:
         raise ValueError("silhouette requires at least two clusters")
@@ -287,61 +292,47 @@ def intra_component_membership(
 # temporal views
 
 
-def _group_mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error (sample std / sqrt(n)) over axis 0."""
-    n = rows.shape[0]
-    mean = rows.mean(axis=0)
-    if n < 2:
-        return mean, np.zeros_like(mean)
-    stderr = rows.std(axis=0, ddof=1) / np.sqrt(n)
-    return mean, stderr
-
-
 @dataclass(frozen=True)
-class TemporalProfile:
-    """Cluster x component mean membership-over-time series with standard errors."""
+class ClusterTrajectories:
+    """Per-cluster mean and standard error (sample std / sqrt(n)) of a series.
 
-    means: np.ndarray  # (n_clusters, rank, K)
+    ``means`` and ``stderrs`` are (n_clusters, J, K): J is the feature axis of
+    ``cluster_feature_trajectories`` and the component axis of
+    ``temporal_modulation``; K is time.
+    """
+
+    means: np.ndarray
     stderrs: np.ndarray
     cluster_sizes: tuple[int, ...]
 
 
-def temporal_modulation(model: FactorModel, labels: np.ndarray) -> TemporalProfile:
+def _cluster_series(t: np.ndarray, labels: np.ndarray) -> ClusterTrajectories:
+    """Mean and standard error of the rows of ``t`` in each cluster of ``labels``."""
+    clusters = np.unique(labels)
+    means = np.zeros((clusters.size, *t.shape[1:]))
+    stderrs = np.zeros_like(means)
+    sizes = []
+    for ci, c in enumerate(clusters):
+        rows = t[labels == c]
+        n = rows.shape[0]
+        sizes.append(n)
+        means[ci] = rows.mean(axis=0)
+        if n > 1:
+            stderrs[ci] = rows.std(axis=0, ddof=1) / np.sqrt(n)
+    return ClusterTrajectories(means=means, stderrs=stderrs, cluster_sizes=tuple(sizes))
+
+
+def temporal_modulation(model: FactorModel, labels: np.ndarray) -> ClusterTrajectories:
     """Membership modulated in time, averaged within clusters.
 
     For component ``r`` the user-by-time matrix is
     ``weights[r] * outer(users[:, r], time[:, r])``; each cluster contributes
     the mean over its member rows at every time step plus the standard error.
     """
-    labels = np.asarray(labels, dtype=int)
     users, _, time = model.factors
-    if labels.shape != (users.shape[0],):
-        raise ValueError("labels must have one entry per user")
-    clusters = np.unique(labels)
-    rank = model.rank
-    k_steps = time.shape[0]
-
-    means = np.zeros((clusters.size, rank, k_steps))
-    stderrs = np.zeros_like(means)
-    sizes = []
-    for ci, c in enumerate(clusters):
-        member_rows = np.flatnonzero(labels == c)
-        if member_rows.size == 0:
-            raise ValueError(f"cluster {c} is empty")
-        sizes.append(int(member_rows.size))
-        for r in range(rank):
-            p = model.weights[r] * np.outer(users[member_rows, r], time[:, r])
-            means[ci, r], stderrs[ci, r] = _group_mean_stderr(p)
-    return TemporalProfile(means=means, stderrs=stderrs, cluster_sizes=tuple(sizes))
-
-
-@dataclass(frozen=True)
-class ClusterTrajectories:
-    """Cluster x feature mean/stderr series computed from the raw tensor."""
-
-    means: np.ndarray  # (n_clusters, J, K)
-    stderrs: np.ndarray
-    cluster_sizes: tuple[int, ...]
+    labels = _as_labels(labels, users.shape[0], "user")
+    membership = model.weights[None, :, None] * (users[:, :, None] * time.T[None])
+    return _cluster_series(membership, labels)
 
 
 def cluster_feature_trajectories(
@@ -349,20 +340,7 @@ def cluster_feature_trajectories(
 ) -> ClusterTrajectories:
     """Per-cluster raw feature trajectories (validation view, not factorized)."""
     t = as_tensor3(t)
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape != (t.shape[0],):
-        raise ValueError("labels must have one entry per player")
-    clusters = np.unique(labels)
-    means = np.zeros((clusters.size, t.shape[1], t.shape[2]))
-    stderrs = np.zeros_like(means)
-    sizes = []
-    for ci, c in enumerate(clusters):
-        member_rows = np.flatnonzero(labels == c)
-        if member_rows.size == 0:
-            raise ValueError(f"cluster {c} is empty")
-        sizes.append(int(member_rows.size))
-        means[ci], stderrs[ci] = _group_mean_stderr(t[member_rows])
-    return ClusterTrajectories(means=means, stderrs=stderrs, cluster_sizes=tuple(sizes))
+    return _cluster_series(t, _as_labels(labels, t.shape[0], "player"))
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +365,12 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * spread * v.size ** (-0.2)
 
 
-def kde_grid(
-    values: np.ndarray, bandwidth: float, n_points: int = 256, pad: float = 4.0
-) -> np.ndarray:
-    """Evaluation grid spanning the data range extended by ``pad`` bandwidths."""
+def kde_grid(values: np.ndarray, bandwidth: float) -> np.ndarray:
+    """256-point evaluation grid spanning the data range extended by 4 bandwidths."""
     v = np.asarray(values, dtype=np.float64).ravel()
-    lo = float(v.min()) - pad * bandwidth
-    hi = float(v.max()) + pad * bandwidth
-    return np.linspace(lo, hi, n_points)
+    lo = float(v.min()) - _KDE_PAD * bandwidth
+    hi = float(v.max()) + _KDE_PAD * bandwidth
+    return np.linspace(lo, hi, _KDE_GRID_POINTS)
 
 
 def kde_gaussian(
@@ -466,51 +442,41 @@ def win_rate_stats(
     winner_matrix: np.ndarray,
     labels: np.ndarray,
     mode: str = "player-mean",
-    bandwidth: float | None = None,
-    grid_points: int = 256,
 ) -> WinRateStats:
     """KDE curves and pairwise Welch tests of the winner feature by cluster.
 
     ``mode='player-mean'`` (default) analyzes one win-rate value per player,
     the mean of that player's binary outcomes; ``mode='raw'`` analyzes the
-    pooled binary outcomes themselves.
+    pooled binary outcomes themselves.  Each cluster's density uses its own
+    Silverman bandwidth, on one grid sized by the widest.
     """
     w = np.asarray(winner_matrix, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError("winner matrix must be players x matches")
-    labels = np.asarray(labels, dtype=int)
-    if labels.shape != (w.shape[0],):
-        raise ValueError("labels must have one entry per player")
+    labels = _as_labels(labels, w.shape[0], "player")
     if mode not in ("player-mean", "raw"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    clusters = np.unique(labels)
+    clusters, sizes = np.unique(labels, return_counts=True)
     samples = []
     for c in clusters:
         rows = w[labels == c]
         samples.append(rows.mean(axis=1) if mode == "player-mean" else rows.ravel())
 
-    bandwidths = [
-        silverman_bandwidth(s) if bandwidth is None else float(bandwidth)
-        for s in samples
-    ]
-    pad = 4.0 * max(bandwidths)
-    lo = min(float(s.min()) for s in samples) - pad
-    hi = max(float(s.max()) for s in samples) + pad
-    grid = np.linspace(lo, hi, grid_points)
+    bandwidths = [silverman_bandwidth(s) for s in samples]
+    grid = kde_grid(np.concatenate(samples), max(bandwidths))
     densities = np.stack(
         [kde_gaussian(s, grid, bandwidth=h) for s, h in zip(samples, bandwidths)]
     )
 
     tests = []
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            t_stat, p = welch_t_test(samples[i], samples[j])
-            tests.append((int(clusters[i]), int(clusters[j]), t_stat, p))
+    for i, j in combinations(range(len(clusters)), 2):
+        t_stat, p = welch_t_test(samples[i], samples[j])
+        tests.append((int(clusters[i]), int(clusters[j]), t_stat, p))
 
     return WinRateStats(
         mode=mode,
-        cluster_sizes=tuple(int((labels == c).sum()) for c in clusters),
+        cluster_sizes=tuple(int(n) for n in sizes),
         cluster_means=tuple(float(s.mean()) for s in samples),
         grid=grid,
         densities=densities,

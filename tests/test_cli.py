@@ -461,3 +461,62 @@ class TestMalformedInputs:
         assert run("analyze", "--input", path, "--rank", 2, "--restarts", 1, "--out-dir", out) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: metadata {key!r} must be")
         assert not (out / "factor_model.json").exists()
+
+    @staticmethod
+    def planted_container(tmp_path):
+        users, feats, time, _ = planted_factors(12, 4, 10, 2, seed=0)
+        path = tmp_path / "t.json"
+        save_tensor3(path, kruskal_tensor([1.0, 1.0], users, feats, time))
+        return path
+
+    @pytest.mark.parametrize(
+        "selection",
+        [[3], "3", {}, {"selected_rank": None}, {"selected_rank": "x"}, {"selected_rank": 2.0},
+         {"selected_rank": True}],
+        ids=repr,
+    )
+    def test_rank_selection(self, tmp_path, capsys, selection):
+        tensor = self.planted_container(tmp_path)
+        out = tmp_path / "o"
+        out.mkdir()
+        path = out / "rank_selection.json"
+        path.write_text(json.dumps(selection))
+        assert run("analyze", "--input", tensor, "--restarts", 1, "--out-dir", out) == 1
+        message = f"error: {path}: 'selected_rank' must be an integer"
+        assert capsys.readouterr().err.startswith(message)
+        assert not (out / "factor_model.json").exists()
+
+    @pytest.mark.parametrize("command", [["rank-scan", "--ranks", "1:2"], ["analyze", "--rank", 2]])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, command, tol):
+        tensor = self.planted_container(tmp_path)
+        out = tmp_path / "o"
+        args = ["--input", tensor, "--restarts", 1, "--tol", tol, "--out-dir", out]
+        assert run(*command, *args) == 1
+        assert capsys.readouterr().err.startswith("error: rel_tol must be positive and finite")
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", [["ingest"], ["rank-scan"], ["analyze", "--rank", 2]])
+    def test_directory_input(self, tmp_path, capsys, command):
+        directory = tmp_path / "d"
+        directory.mkdir()
+        assert run(*command, "--input", directory, "--out-dir", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"foo": 1, "seed": 0}, "unknown spec keys ['foo']"),
+            ([1], "a spec must be a JSON object"),
+            ("x", "a spec must be a JSON object"),
+            (5, "a spec must be a JSON object"),
+        ],
+        ids=repr,
+    )
+    def test_synth_spec(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        assert run("synth", "--spec", path, "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not any(out.iterdir())

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -154,6 +155,11 @@ class TestDecompose:
             decompose(t, 0, FAST)
         with pytest.raises(ValueError, match="rank"):
             decompose(t, 10, FAST)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_config_rejects_tolerance_outside_zero_to_inf(self, tol):
+        with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
+            DecomposeConfig(rel_tol=tol)
 
 
 class TestFailedRestarts:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from matchfactor import (
     ConstantColumn,
@@ -430,3 +432,54 @@ class TestWinRateStats:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             win_rate_stats(np.zeros((4, 3)), np.zeros(4, dtype=int), mode="weird")
+
+
+# ---------------------------------------------------------------------------
+# temporal modulation as a cluster series
+
+
+@hst.composite
+def models_and_labels(draw):
+    """A model from non-negative factors, and a cluster label for each user."""
+    n_users, rank, k_steps = (draw(hst.integers(1, hi)) for hi in (8, 3, 6))
+    entries = hst.floats(0.0, 1.0)
+
+    def matrix(rows):
+        values = draw(hst.lists(entries, min_size=rows * rank, max_size=rows * rank))
+        return np.array(values).reshape(rows, rank)
+
+    model = as_factor_model(matrix(n_users), matrix(2), matrix(k_steps))
+    labels = np.array(draw(hst.lists(hst.integers(0, 3), min_size=n_users, max_size=n_users)))
+    return model, labels
+
+
+class TestTemporalModulationProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(case=models_and_labels())
+    def test_equals_cluster_series_of_membership_tensor(self, case):
+        model, labels = case
+        users, _, time = model.factors
+        profile = temporal_modulation(model, labels)
+
+        # the cluster series of the user x component x time membership tensor
+        membership = model.weights[None, :, None] * (users[:, :, None] * time.T[None])
+        series = cluster_feature_trajectories(membership, labels)
+        assert profile.means.tobytes() == series.means.tobytes()
+        assert profile.stderrs.tobytes() == series.stderrs.tobytes()
+        assert profile.cluster_sizes == series.cluster_sizes
+
+        # and the definition: one outer product per cluster and component.
+        # With one step a component's (members x 1) product is a contiguous
+        # column, which numpy sums pairwise instead of row by row, so its last
+        # bits may differ; every other shape adds the rows in the same order.
+        if time.shape[0] == 1:
+            return
+        for ci, c in enumerate(np.unique(labels)):
+            rows = np.flatnonzero(labels == c)
+            for r in range(model.rank):
+                p = model.weights[r] * np.outer(users[rows, r], time[:, r])
+                assert profile.means[ci, r].tobytes() == p.mean(axis=0).tobytes()
+                stderr = np.zeros(p.shape[1])
+                if rows.size > 1:
+                    stderr = p.std(axis=0, ddof=1) / np.sqrt(rows.size)
+                assert profile.stderrs[ci, r].tobytes() == stderr.tobytes()

@@ -328,3 +328,35 @@ class TestWriterBytes:
         assert '"values": [0.0, -0.0, 0.0, -0.0]' in (tmp_path / "t.json").read_text()
         back, _ = load_tensor3(tmp_path / "t.json")
         np.testing.assert_array_equal(np.signbit(back), np.signbit(t))
+
+
+@hst.composite
+def kruskal_factors(draw):
+    """Weights and three non-negative factor matrices of one shared rank."""
+    rank = draw(hst.integers(1, 4))
+    dims = draw(hst.tuples(*[hst.integers(1, 5)] * 3))
+    entries = hst.floats(0.0, 1.0)
+
+    def matrix(rows):
+        return np.array(draw(hst.lists(entries, min_size=rows * rank, max_size=rows * rank)))
+
+    return (matrix(1), *(matrix(d).reshape(d, rank) for d in dims))
+
+
+class TestTensorProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(t=tensors(), mode=hst.sampled_from([1, 2, 3]))
+    def test_fold_inverts_unfold_exactly(self, t, mode):
+        back = fold(unfold(t, mode), mode, t.shape)
+        assert back.shape == t.shape
+        assert back.tobytes() == t.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(factors=kruskal_factors(), mode=hst.sampled_from([1, 2, 3]))
+    def test_kruskal_unfolding_is_khatri_rao_form(self, factors, mode):
+        # X_(n) = F_n diag(w) (F_q (.) F_p)^T, p < q the other two modes
+        w, *mats = factors
+        p, q = (mats[m] for m in range(3) if m != mode - 1)
+        expect = (mats[mode - 1] * w) @ khatri_rao(q, p).T
+        got = unfold(kruskal_tensor(w, *mats), mode)
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15)
