@@ -4,6 +4,10 @@ Every artifact is plain CSV or JSON designed for direct plotting, embeds the
 run configuration and tool version, and is byte-identical across re-runs
 with the same inputs and seeds.  CSV artifacts start with one ``#`` comment
 line carrying the provenance echo.
+
+Each subcommand computes its artifacts and returns them; ``main`` writes
+them only after the stage has succeeded, so a failed stage leaves the
+output directory as it was.
 """
 
 from __future__ import annotations
@@ -12,8 +16,10 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +58,21 @@ def _write_csv(path: Path, config: dict, header: list[str], rows) -> None:
         fh.write(f"# matchfactor {__version__} config={json.dumps(config, sort_keys=True)}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def _write_artifacts(out: Path, config: dict, artifacts: dict) -> None:
+    """Write each artifact into ``out`` under its file name: a dict as JSON
+    with the config echo added, a ``(header, rows)`` pair as CSV with its
+    provenance line, and a callable ``(path, config)`` writes its own file."""
+    for name, content in artifacts.items():
+        path = out / name
+        if isinstance(content, dict):
+            _write_json(path, {**content, "config": config})
+        elif callable(content):
+            content(path, config)
+        else:
+            _write_csv(path, config, *content)
 
 
 def _fmt(value) -> str:
@@ -65,12 +84,6 @@ def _cells(*arrays: np.ndarray):
     index, then each array's value there."""
     for idx in np.ndindex(arrays[0].shape):
         yield [*idx, *(_fmt(a[idx]) for a in arrays)]
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _restart_warnings(records) -> list[str]:
@@ -90,67 +103,58 @@ def _parse_ranks(text: str) -> list[int]:
     return [int(text)]
 
 
+def _decompose_config(args: argparse.Namespace) -> DecomposeConfig:
+    return DecomposeConfig(
+        seed=args.seed,
+        n_restarts=args.restarts,
+        max_outer_iters=args.max_iters,
+        rel_tol=args.tol,
+    )
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (artifacts by file name, message)
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    config = _config_echo(args)
-    out = _out_dir(args)
+def cmd_ingest(args: argparse.Namespace) -> tuple[dict, str]:
     result = ingest(
         args.input, fmt=args.format, arena_id=args.arena_id, n_matches=args.matches
     )
     normalized = normalize_minmax(result.dataset, per_player=args.per_player)
-    winners = result.dataset.winner_matrix()
-
     metadata = {
-        "config": config,
         "player_ids": list(normalized.player_ids),
         "feature_names": list(FEATURES),
         "feature_min": normalized.feature_min.tolist(),
         "feature_max": normalized.feature_max.tolist(),
         "constant_features": normalized.constant_mask.tolist(),
         "per_player_normalization": normalized.per_player,
-        "winner": winners.astype(int).tolist(),
+        "winner": result.dataset.winner_matrix().astype(int).tolist(),
     }
-    save_tensor3(out / "tensor.json", normalized.tensor, metadata)
-
-    summary = {
-        "config": config,
-        "players_retained": result.players_retained,
-        "players_dropped": result.players_dropped,
-        "records_read": result.records_read,
-        "records_other_arena": result.records_other_arena,
-        "tensor_dims": list(normalized.tensor.shape),
-        "feature_ranges": {
-            name: {"min": float(lo), "max": float(hi)}
-            for name, lo, hi in zip(
-                FEATURES,
-                np.atleast_1d(normalized.feature_min).ravel()[: len(FEATURES)],
-                np.atleast_1d(normalized.feature_max).ravel()[: len(FEATURES)],
-            )
-        }
-        if not normalized.per_player
-        else {},
+    artifacts = {
+        "tensor.json": lambda path, config: save_tensor3(
+            path, normalized.tensor, {**metadata, "config": config}
+        ),
+        "ingest_summary.json": {
+            "players_retained": result.players_retained,
+            "players_dropped": result.players_dropped,
+            "records_read": result.records_read,
+            "records_other_arena": result.records_other_arena,
+            "tensor_dims": list(normalized.tensor.shape),
+            "feature_ranges": {}
+            if normalized.per_player
+            else {
+                name: {"min": float(lo), "max": float(hi)}
+                for name, lo, hi in zip(FEATURES, normalized.feature_min, normalized.feature_max)
+            },
+        },
     }
-    _write_json(out / "ingest_summary.json", summary)
-    print(f"wrote {out / 'tensor.json'} ({result.players_retained} players)")
-    return 0
+    message = f"wrote {Path(args.out_dir) / 'tensor.json'} ({result.players_retained} players)"
+    return artifacts, message
 
 
-def cmd_rank_scan(args: argparse.Namespace) -> int:
-    config = _config_echo(args)
-    out = _out_dir(args)
+def cmd_rank_scan(args: argparse.Namespace) -> tuple[dict, str]:
     t, _ = load_tensor3(args.input)
-    ranks = _parse_ranks(args.ranks)
-    cfg = DecomposeConfig(
-        seed=args.seed,
-        n_restarts=args.restarts,
-        max_outer_iters=args.max_iters,
-        rel_tol=args.tol,
-    )
-    result = rank_scan(t, ranks, cfg)
-
+    result = rank_scan(t, _parse_ranks(args.ranks), _decompose_config(args))
     rows = [
         [
             rec.rank,
@@ -163,12 +167,6 @@ def cmd_rank_scan(args: argparse.Namespace) -> int:
         ]
         for rec in result.records
     ]
-    _write_csv(
-        out / "rank_scan.csv",
-        config,
-        ["rank", "restart", "seed", "core_consistency", "fit", "converged", "error"],
-        rows,
-    )
     failures = _restart_warnings(result.records)
     best = {
         str(rank): {
@@ -178,18 +176,19 @@ def cmd_rank_scan(args: argparse.Namespace) -> int:
         }
         for rank, rec in result.best_by_rank().items()
     }
-    _write_json(
-        out / "rank_selection.json",
-        {
-            "config": config,
+    artifacts = {
+        "rank_scan.csv": (
+            ["rank", "restart", "seed", "core_consistency", "fit", "converged", "error"],
+            rows,
+        ),
+        "rank_selection.json": {
             "selected_rank": result.selected_rank,
             "rationale": result.rationale,
             "best_by_rank": best,
             "failed_restarts": len(failures),
         },
-    )
-    print(f"selected rank {result.selected_rank}: {result.rationale}")
-    return 0
+    }
+    return artifacts, f"selected rank {result.selected_rank}: {result.rationale}"
 
 
 def _silhouette_sweep(
@@ -252,8 +251,9 @@ def _container_metadata(path, metadata: dict, shape) -> tuple[list, list, np.nda
     return feature_names, player_ids, winner
 
 
-def _selected_rank(path: Path) -> int:
-    """The integer ``selected_rank`` of a ``rank_selection.json``."""
+def _selected_rank(out_dir) -> int:
+    """The integer ``selected_rank`` of the ``rank_selection.json`` in ``out_dir``."""
+    path = Path(out_dir) / "rank_selection.json"
     if not path.exists():
         raise MatchFactorError("no --rank given and no rank_selection.json in the output directory")
     with open(path, "r", encoding="utf-8") as fh:
@@ -264,36 +264,36 @@ def _selected_rank(path: Path) -> int:
     return rank
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    config = _config_echo(args)
-    out = _out_dir(args)
+def cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
     t, metadata = load_tensor3(args.input)
     feature_names, player_ids, winner = _container_metadata(args.input, metadata, t.shape)
+    rank = args.rank if args.rank is not None else _selected_rank(args.out_dir)
 
-    rank = args.rank if args.rank is not None else _selected_rank(out / "rank_selection.json")
-
-    cfg = DecomposeConfig(
-        seed=args.seed,
-        n_restarts=args.restarts,
-        max_outer_iters=args.max_iters,
-        rel_tol=args.tol,
-    )
     # a one-rank scan: the restarts' records carry their models and consistencies
-    scan = rank_scan(t, [rank], cfg)
+    scan = rank_scan(t, [rank], _decompose_config(args))
     restart_warnings = _restart_warnings(scan.records)
     best = scan.best(rank)
     model, cc = best.model, best.core_consistency
-    _write_json(
-        out / "factor_model.json",
-        model_to_doc(model, core_consistency_value=cc, config=config),
-    )
 
     # feature signatures (masked feature-factor view)
     signature = feature_membership(model.factors[1], fraction=args.membership_fraction)
-    _write_json(
-        out / "feature_signatures.json",
-        {
-            "config": config,
+
+    # player clustering at k (default: one cluster per component) + neighbors
+    k_main = args.k if args.k is not None else rank
+    assign = kmeans(model.factors[0], k_main, seed=args.seed)
+    sweep_ks = [k for k in range(rank - 1, rank + 3) if k != k_main]
+    sweep, warnings = _silhouette_sweep(model.factors[0], sweep_ks, args.seed)
+    for message in warnings:
+        print(f"warning: {message}", file=sys.stderr)
+
+    # membership modulated in time, per cluster and component
+    profile = temporal_modulation(model, assign.labels)
+    # raw per-cluster feature trajectories (validation view)
+    trajectories = cluster_feature_trajectories(t, assign.labels)
+
+    artifacts = {
+        "factor_model.json": model_to_doc(model, core_consistency_value=cc),
+        "feature_signatures.json": {
             "fraction": signature.fraction,
             "components": [
                 {
@@ -306,19 +306,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             ],
             "empty_components": list(signature.empty_components),
         },
-    )
-
-    # player clustering at k (default: one cluster per component) + neighbors
-    k_main = args.k if args.k is not None else rank
-    assign = kmeans(model.factors[0], k_main, seed=args.seed)
-    sweep_ks = [k for k in range(rank - 1, rank + 3) if k != k_main]
-    sweep, warnings = _silhouette_sweep(model.factors[0], sweep_ks, args.seed)
-    for message in warnings:
-        print(f"warning: {message}", file=sys.stderr)
-    _write_json(
-        out / "clusters.json",
-        {
-            "config": config,
+        "clusters.json": {
             "k": k_main,
             "labels": {pid: int(c) for pid, c in zip(player_ids, assign.labels)},
             "cluster_sizes": list(assign.cluster_sizes()),
@@ -333,122 +321,122 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "silhouette_sweep": sweep,
             "warnings": warnings,
         },
-    )
-
-    # membership modulated in time, per cluster and component
-    profile = temporal_modulation(model, assign.labels)
-    _write_csv(
-        out / "temporal_profiles.csv",
-        config,
-        ["cluster", "component", "step", "mean", "stderr"],
-        _cells(profile.means, profile.stderrs),
-    )
-
-    # temporal activation of each component (time factor columns)
-    rows = ([step, r, a] for r, step, a in _cells(model.factors[2].T))
-    _write_csv(
-        out / "component_activity.csv", config, ["step", "component", "activation"], rows
-    )
-
-    # raw per-cluster feature trajectories (validation view)
-    trajectories = cluster_feature_trajectories(t, assign.labels)
-    rows = (
-        [ci, feature_names[j], step, m, se]
-        for ci, j, step, m, se in _cells(trajectories.means, trajectories.stderrs)
-    )
-    _write_csv(
-        out / "feature_trajectories.csv",
-        config,
-        ["cluster", "feature", "step", "mean", "stderr"],
-        rows,
-    )
+        "temporal_profiles.csv": (
+            ["cluster", "component", "step", "mean", "stderr"],
+            _cells(profile.means, profile.stderrs),
+        ),
+        # temporal activation of each component (time factor columns)
+        "component_activity.csv": (
+            ["step", "component", "activation"],
+            ([step, r, a] for r, step, a in _cells(model.factors[2].T)),
+        ),
+        "feature_trajectories.csv": (
+            ["cluster", "feature", "step", "mean", "stderr"],
+            (
+                [ci, feature_names[j], step, m, se]
+                for ci, j, step, m, se in _cells(trajectories.means, trajectories.stderrs)
+            ),
+        ),
+    }
 
     # win-rate distributions per cluster
     if winner is not None:
         stats = win_rate_stats(winner, assign.labels, mode=args.kde_mode)
-        rows = ([ci, _fmt(stats.grid[g]), d] for ci, g, d in _cells(stats.densities))
-        _write_csv(
-            out / "win_rate_kde.csv", config, ["cluster", "win_rate", "density"], rows
+        artifacts["win_rate_kde.csv"] = (
+            ["cluster", "win_rate", "density"],
+            ([ci, _fmt(stats.grid[g]), d] for ci, g, d in _cells(stats.densities)),
         )
-        _write_json(
-            out / "win_rate_tests.json",
-            {
-                "config": config,
-                "mode": stats.mode,
-                "cluster_means": list(stats.cluster_means),
-                "cluster_sizes": list(stats.cluster_sizes),
-                "pairwise": [
-                    {"cluster_a": a, "cluster_b": b, "t": t_stat, "p": p}
-                    for a, b, t_stat, p in stats.pairwise_tests
-                ],
-            },
-        )
+        artifacts["win_rate_tests.json"] = {
+            "mode": stats.mode,
+            "cluster_means": list(stats.cluster_means),
+            "cluster_sizes": list(stats.cluster_sizes),
+            "pairwise": [
+                {"cluster_a": a, "cluster_b": b, "t": t_stat, "p": p}
+                for a, b, t_stat, p in stats.pairwise_tests
+            ],
+        }
     else:
         print(
             "warning: tensor container has no winner metadata; win-rate stats skipped",
             file=sys.stderr,
         )
 
-    _write_json(
-        out / "analyze_summary.json",
-        {
-            "config": config,
-            "rank": rank,
-            "core_consistency": cc,
-            "fit": model.fit,
-            "k": k_main,
-            "cluster_sizes": list(assign.cluster_sizes()),
-            "silhouette": assign.silhouette,
-            "warnings": restart_warnings + warnings,
-        },
-    )
-    print(
+    artifacts["analyze_summary.json"] = {
+        "rank": rank,
+        "core_consistency": cc,
+        "fit": model.fit,
+        "k": k_main,
+        "cluster_sizes": list(assign.cluster_sizes()),
+        "silhouette": assign.silhouette,
+        "warnings": restart_warnings + warnings,
+    }
+    message = (
         f"analyzed rank {rank}: fit {model.fit:.6f}, core consistency {cc:.2f}, "
         f"clusters {assign.cluster_sizes()}"
     )
-    return 0
+    return artifacts, message
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    config = _config_echo(args)
-    out = _out_dir(args)
-    if args.spec is not None:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError(f"{args.spec}: a spec must be a JSON object")
-        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(SyntheticSpec)})
-        if unknown:
-            raise ValueError(f"{args.spec}: unknown spec keys {unknown}")
-        for key in ("signatures", "group_sizes", "win_bias", "feature_scales"):
-            if key in doc:
-                doc[key] = tuple(
-                    tuple(v) if isinstance(v, list) else v for v in doc[key]
-                )
-        spec = SyntheticSpec(**doc)
-    else:
-        spec = SyntheticSpec()
+# a scalar SyntheticSpec field type: its JSON type in words, singular and
+# plural, and the Python types a decoded JSON value of that type may have
+_JSON_TYPES = {
+    bool: ("a boolean", "booleans", (bool,)),
+    int: ("an integer", "integers", (int,)),
+    float: ("a finite number", "finite numbers", (int, float)),
+}
+
+
+def _json_type(hint, plural: bool = False) -> str:
+    """The JSON type of a ``SyntheticSpec`` field type, in words."""
+    if typing.get_origin(hint) is not tuple:
+        return _JSON_TYPES[hint][plural]
+    items = _json_type(typing.get_args(hint)[0], plural=True)
+    return f"arrays of {items}" if plural else f"an array of {items}"
+
+
+def _spec_value(hint, value):
+    """A spec file's JSON ``value`` as a field of type ``hint``, arrays as
+    tuples; a value of another JSON type raises ``TypeError``."""
+    if typing.get_origin(hint) is not tuple:
+        if type(value) in _JSON_TYPES[hint][2] and abs(value) < math.inf:
+            return value
+    elif isinstance(value, list):
+        return tuple(_spec_value(typing.get_args(hint)[0], v) for v in value)
+    raise TypeError
+
+
+def _load_spec(path) -> SyntheticSpec:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a spec must be a JSON object")
+    hints = typing.get_type_hints(SyntheticSpec)
+    unknown = sorted(set(doc) - set(hints))
+    if unknown:
+        raise ValueError(f"{path}: unknown spec keys {unknown}")
+    values = {}
+    for key, value in doc.items():
+        try:
+            values[key] = _spec_value(hints[key], value)
+        except TypeError:
+            raise ValueError(f"{path}: {key!r} must be {_json_type(hints[key])}") from None
+    return SyntheticSpec(**values)
+
+
+def cmd_synth(args: argparse.Namespace) -> tuple[dict, str]:
+    spec = _load_spec(args.spec) if args.spec is not None else SyntheticSpec()
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
 
     result = generate_synthetic(spec)
-    result.dataset.write_csv(out / "synthetic.csv")
-    _write_json(
-        out / "truth_model.json", model_to_doc(result.truth, config=config)
-    )
-    _write_csv(
-        out / "truth_labels.csv",
-        config,
-        ["player_id", "group"],
-        [
-            [pid, int(group)]
-            for pid, group in zip(result.dataset.player_ids, result.labels)
-        ],
-    )
-    _write_json(
-        out / "synth_summary.json",
-        {
-            "config": config,
+    artifacts = {
+        "synthetic.csv": lambda path, config: result.dataset.write_csv(path),
+        "truth_model.json": model_to_doc(result.truth),
+        "truth_labels.csv": (
+            ["player_id", "group"],
+            [[pid, int(group)] for pid, group in zip(result.dataset.player_ids, result.labels)],
+        ),
+        "synth_summary.json": {
             "players": spec.n_players,
             "matches": spec.n_matches,
             "rank": spec.rank,
@@ -456,9 +444,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
             "exact": spec.exact,
             "group_sizes": list(spec.group_sizes),
         },
-    )
-    print(f"wrote {out / 'synthetic.csv'} ({spec.n_players} players)")
-    return 0
+    }
+    message = f"wrote {Path(args.out_dir) / 'synthetic.csv'} ({spec.n_players} players)"
+    return artifacts, message
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +465,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--out-dir", default=default_out, help="artifact directory")
 
+    def add_fit(p):
+        p.add_argument("--input", required=True, help="tensor container path")
+        p.add_argument("--restarts", type=int, default=5)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--max-iters", type=int, default=500)
+        p.add_argument("--threads", type=int, default=1, help="ignored; kept for compatibility")
+        add_common(p)
+
     p_ingest = sub.add_parser("ingest", help="read match records, build the tensor")
     p_ingest.add_argument("--input", required=True, help="input file path")
     p_ingest.add_argument(
@@ -493,30 +490,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_scan = sub.add_parser("rank-scan", help="core-consistency curve over ranks")
-    p_scan.add_argument("--input", required=True, help="tensor container path")
     p_scan.add_argument("--ranks", default="1:10", help="inclusive range, e.g. 1:10")
-    p_scan.add_argument("--restarts", type=int, default=5)
-    p_scan.add_argument("--seed", type=int, default=0)
-    p_scan.add_argument("--tol", type=float, default=1e-8)
-    p_scan.add_argument("--max-iters", type=int, default=500)
-    p_scan.add_argument("--threads", type=int, default=1, help="ignored; kept for compatibility")
-    add_common(p_scan)
+    add_fit(p_scan)
     p_scan.set_defaults(func=cmd_rank_scan)
 
     p_an = sub.add_parser("analyze", help="fit, cluster and report at one rank")
-    p_an.add_argument("--input", required=True, help="tensor container path")
     p_an.add_argument("--rank", type=int, default=None)
-    p_an.add_argument("--restarts", type=int, default=5)
-    p_an.add_argument("--seed", type=int, default=0)
-    p_an.add_argument("--tol", type=float, default=1e-8)
-    p_an.add_argument("--max-iters", type=int, default=500)
     p_an.add_argument("--k", type=int, default=None, help="cluster count override")
     p_an.add_argument("--membership-fraction", type=float, default=0.95)
     p_an.add_argument(
         "--kde-mode", choices=["player-mean", "raw"], default="player-mean"
     )
-    p_an.add_argument("--threads", type=int, default=1, help="ignored; kept for compatibility")
-    add_common(p_an)
+    add_fit(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
     p_sy = sub.add_parser("synth", help="generate a synthetic dataset with truth")
@@ -531,7 +516,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        artifacts, message = args.func(args)
+        _write_artifacts(out, _config_echo(args), artifacts)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2
@@ -541,6 +529,8 @@ def main(argv=None) -> int:
     except (MatchFactorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(message)
+    return 0
 
 
 def entrypoint() -> None:

@@ -362,6 +362,8 @@ def ingest(
     """
     if fmt not in _READERS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(_READERS)}")
+    if n_matches < 1:
+        raise ValueError(f"n_matches must be >= 1, got {n_matches}")
     names, player, match_index, counts, winner, arena = _read_columns(_READERS[fmt](path))
     in_arena = np.asarray(arena == arena_id, dtype=bool)
     player, match_index = player[in_arena], match_index[in_arena]
@@ -432,23 +434,12 @@ def normalize_minmax(dataset: Dataset, per_player: bool = False) -> NormalizedTe
     normalizes each player's series separately for sensitivity analysis.
     Constant features map to all-zeros and are flagged in ``constant_mask``.
     """
-    counts = dataset.counts
-    if per_player:
-        mins = counts.min(axis=2)  # (I, 4)
-        maxs = counts.max(axis=2)
-        span = maxs - mins
-        constant = span == 0
-        safe = np.where(constant, 1.0, span)
-        tensor = (counts - mins[:, :, None]) / safe[:, :, None]
-        tensor[constant] = 0.0
-    else:
-        mins = counts.min(axis=(0, 2))  # (4,)
-        maxs = counts.max(axis=(0, 2))
-        span = maxs - mins
-        constant = span == 0
-        safe = np.where(constant, 1.0, span)
-        tensor = (counts - mins[None, :, None]) / safe[None, :, None]
-        tensor[:, constant, :] = 0.0
+    axis = 2 if per_player else (0, 2)
+    mins = dataset.counts.min(axis=axis, keepdims=True)
+    maxs = dataset.counts.max(axis=axis, keepdims=True)
+    constant = maxs == mins
+    tensor = np.where(constant, 0.0, (dataset.counts - mins) / np.where(constant, 1.0, maxs - mins))
+    mins, maxs, constant = (a.squeeze(axis) for a in (mins, maxs, constant))
     if constant.any():
         logger.warning("constant features mapped to zeros: mask=%s", constant.tolist())
     return NormalizedTensor(
@@ -464,6 +455,4 @@ def normalize_minmax(dataset: Dataset, per_player: bool = False) -> NormalizedTe
 def denormalize(normalized: NormalizedTensor) -> np.ndarray:
     """Recover raw counts from a normalized tensor (constant features included)."""
     span = normalized.feature_max - normalized.feature_min
-    if normalized.per_player:
-        return normalized.tensor * span[:, :, None] + normalized.feature_min[:, :, None]
-    return normalized.tensor * span[None, :, None] + normalized.feature_min[None, :, None]
+    return normalized.tensor * span[..., None] + normalized.feature_min[..., None]

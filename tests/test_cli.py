@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import matchfactor
-from matchfactor import kruskal_tensor, planted_factors, save_tensor3
+from matchfactor import kruskal_tensor, load_tensor3, planted_factors, save_tensor3
 from matchfactor.cli import main
 
 from test_data import RIOT_SHAPES, csv_to_jsonl, csv_to_riot_json, riot_fixture_with, with_bad_line
@@ -99,6 +99,13 @@ class TestIngest:
         missing = tmp_path / "nope.csv"
         assert run("ingest", "--input", missing, "--out-dir", tmp_path / "o") == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("matches", [0, -2])
+    def test_matches_must_be_positive(self, tmp_path, capsys, matches):
+        data = tmp_path / "d.csv"
+        data.write_text(CSV_FIXTURE)
+        assert run("ingest", "--input", data, "--matches", matches, "--out-dir", tmp_path / "o") == 1
+        assert capsys.readouterr().err == f"error: n_matches must be >= 1, got {matches}\n"
 
     def test_ingest_error_nonzero_exit(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -375,6 +382,25 @@ class TestAnalyze:
         )
         assert not (out / "factor_model.json").exists()
 
+    @pytest.mark.parametrize("case", ["--k 0", "--membership-fraction 2", "all-zero winner"])
+    def test_failed_stage_leaves_out_dir_as_it_was(self, tmp_path, capsys, case):
+        # each case fails late: after the fit, with artifacts already computed
+        out = synth_and_ingest(tmp_path)
+        assert self.analyze(out) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        if case == "all-zero winner":
+            t, metadata = load_tensor3(out / "tensor.json")
+            container = tmp_path / "zero_winner.json"
+            winner = np.zeros_like(metadata["winner"]).tolist()
+            save_tensor3(container, t, {**metadata, "winner": winner})
+            code = self.analyze(out, "--input", container)  # the last --input counts
+        else:
+            code = self.analyze(out, *case.split())
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_kde_raw_mode(self, tmp_path):
         out = synth_and_ingest(tmp_path)
         assert self.analyze(out, "--kde-mode", "raw") == 0
@@ -510,6 +536,19 @@ class TestMalformedInputs:
             ([1], "a spec must be a JSON object"),
             ("x", "a spec must be a JSON object"),
             (5, "a spec must be a JSON object"),
+            ({"group_sizes": "abc"}, "'group_sizes' must be an array of integers"),
+            ({"group_sizes": [12, 12.0, 12]}, "'group_sizes' must be an array of integers"),
+            ({"n_players": "5"}, "'n_players' must be an integer"),
+            ({"n_players": 30.0, "group_sizes": [10, 10, 10]}, "'n_players' must be an integer"),
+            ({"rank": True}, "'rank' must be an integer"),
+            ({"signatures": 5}, "'signatures' must be an array of arrays of integers"),
+            ({"signatures": [[0], 1, [2]]}, "'signatures' must be an array of arrays of integers"),
+            ({"noise": "x"}, "'noise' must be a finite number"),
+            ({"noise": float("nan")}, "'noise' must be a finite number"),
+            ({"win_bias": [0.0, None, 0.0]}, "'win_bias' must be an array of finite numbers"),
+            ({"seed": "a"}, "'seed' must be an integer"),
+            ({"exact": "yes"}, "'exact' must be a boolean"),
+            ({"exact": 1}, "'exact' must be a boolean"),
         ],
         ids=repr,
     )

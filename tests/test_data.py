@@ -149,9 +149,13 @@ class TestIngestCsv:
 
     def test_no_players_retained(self, tmp_path):
         path = write(tmp_path, "d.csv", CSV_FIXTURE)
-        for n_matches in (50, 0):
-            with pytest.raises(NoPlayersRetained):
-                ingest(path, "csv", n_matches=n_matches)
+        with pytest.raises(NoPlayersRetained):
+            ingest(path, "csv", n_matches=50)
+
+    @pytest.mark.parametrize("n_matches", [0, -1])
+    def test_n_matches_checked_before_reading(self, tmp_path, n_matches):
+        with pytest.raises(ValueError, match=rf"^n_matches must be >= 1, got {n_matches}$"):
+            ingest(tmp_path / "missing.csv", "csv", n_matches=n_matches)
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
