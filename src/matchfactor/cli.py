@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .data import FEATURES, ingest, normalize_minmax
-from .decompose import DecomposeConfig, model_to_doc, rank_scan
+from .decompose import DecomposeConfig, _validate_decompose_inputs, model_to_doc, rank_scan
 from .errors import MatchFactorError
 from .patterns import (
     cluster_feature_trajectories,
@@ -36,7 +36,7 @@ from .patterns import (
     win_rate_stats,
 )
 from .synthetic import SyntheticSpec, generate_synthetic
-from .tensor import load_tensor3, save_tensor3
+from .tensor import _read_json, _write_json, load_tensor3, save_tensor3
 
 _OUT_DIR_ENV = "MATCHFACTOR_OUT_DIR"
 
@@ -45,12 +45,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
     echo = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     echo["tool_version"] = __version__
     return echo
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
 
 
 def _write_csv(path: Path, config: dict, header: list[str], rows) -> None:
@@ -94,13 +88,13 @@ def _restart_warnings(records) -> list[str]:
     return messages
 
 
-def _parse_ranks(text: str) -> list[int]:
+def _parse_ranks(text: str) -> range:
     text = text.strip()
     for sep in (":", "-"):
         if sep in text:
             lo, hi = text.split(sep, 1)
-            return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+            return range(int(lo), int(hi) + 1)
+    return range(int(text), int(text) + 1)
 
 
 def _decompose_config(args: argparse.Namespace) -> DecomposeConfig:
@@ -256,8 +250,7 @@ def _selected_rank(out_dir) -> int:
     path = Path(out_dir) / "rank_selection.json"
     if not path.exists():
         raise MatchFactorError("no --rank given and no rank_selection.json in the output directory")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     rank = doc.get("selected_rank") if isinstance(doc, dict) else None
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise ValueError(f"{path}: 'selected_rank' must be an integer")
@@ -268,6 +261,12 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
     t, metadata = load_tensor3(args.input)
     feature_names, player_ids, winner = _container_metadata(args.input, metadata, t.shape)
     rank = args.rank if args.rank is not None else _selected_rank(args.out_dir)
+    k_main = args.k if args.k is not None else rank  # default: one cluster per component
+    _validate_decompose_inputs(t, [rank])  # rank_scan's checks come before the two below
+    if not 0.0 < args.membership_fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {args.membership_fraction}")
+    if not 1 <= k_main <= t.shape[0]:
+        raise ValueError(f"k must be in [1, {t.shape[0]}], got {k_main}")
 
     # a one-rank scan: the restarts' records carry their models and consistencies
     scan = rank_scan(t, [rank], _decompose_config(args))
@@ -278,8 +277,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
     # feature signatures (masked feature-factor view)
     signature = feature_membership(model.factors[1], fraction=args.membership_fraction)
 
-    # player clustering at k (default: one cluster per component) + neighbors
-    k_main = args.k if args.k is not None else rank
+    # player clustering at k, then its neighbors
     assign = kmeans(model.factors[0], k_main, seed=args.seed)
     sweep_ks = [k for k in range(rank - 1, rank + 3) if k != k_main]
     sweep, warnings = _silhouette_sweep(model.factors[0], sweep_ks, args.seed)
@@ -406,8 +404,7 @@ def _spec_value(hint, value):
 
 
 def _load_spec(path) -> SyntheticSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a spec must be a JSON object")
     hints = typing.get_type_hints(SyntheticSpec)
@@ -420,7 +417,10 @@ def _load_spec(path) -> SyntheticSpec:
             values[key] = _spec_value(hints[key], value)
         except TypeError:
             raise ValueError(f"{path}: {key!r} must be {_json_type(hints[key])}") from None
-    return SyntheticSpec(**values)
+    try:
+        return SyntheticSpec(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def cmd_synth(args: argparse.Namespace) -> tuple[dict, str]:

@@ -33,6 +33,7 @@ the dense arrays of a ``Dataset``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -265,15 +266,16 @@ def _lines_up_to_undecodable(path, newline, skip):
 
 def _csv_rows(path):
     width = len(CSV_HEADER)
-    reader = csv.reader(_lines(path, newline=""))
-    header = next(reader, None)
-    if header is None or tuple(header) != CSV_HEADER:
-        raise MalformedRecord(f"bad CSV header: expected {','.join(CSV_HEADER)}", line=1)
-    for row in reader:
-        if row:  # blank lines are skipped
-            # absent trailing fields count as missing, extra ones are ignored
-            row = row if len(row) == width else (row + [None] * width)[:width]
-            yield row, "csv record", reader.line_num
+    with contextlib.closing(_lines(path, newline="")) as lines:
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header is None or tuple(header) != CSV_HEADER:
+            raise MalformedRecord(f"bad CSV header: expected {','.join(CSV_HEADER)}", line=1)
+        for row in reader:
+            if row:  # blank lines are skipped
+                # absent trailing fields count as missing, extra ones are ignored
+                row = row if len(row) == width else (row + [None] * width)[:width]
+                yield row, "csv record", reader.line_num
 
 
 def _json_lines_rows(path):
@@ -364,7 +366,8 @@ def ingest(
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(_READERS)}")
     if n_matches < 1:
         raise ValueError(f"n_matches must be >= 1, got {n_matches}")
-    names, player, match_index, counts, winner, arena = _read_columns(_READERS[fmt](path))
+    with contextlib.closing(_READERS[fmt](path)) as rows:
+        names, player, match_index, counts, winner, arena = _read_columns(rows)
     in_arena = np.asarray(arena == arena_id, dtype=bool)
     player, match_index = player[in_arena], match_index[in_arena]
     # the first row whose (player, match_index) key repeats an earlier row's

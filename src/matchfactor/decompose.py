@@ -33,7 +33,6 @@ consistency, then lower fit error, then lower seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -41,7 +40,7 @@ import numpy as np
 
 from .errors import DegenerateTensor, MatchFactorError
 from .nnls import NnlsProblem, solve_nnls_bpp
-from .tensor import as_tensor3, frobenius_norm, kruskal_tensor
+from .tensor import _read_json, _write_json, as_tensor3, frobenius_norm, kruskal_tensor
 
 _MODEL_FORMAT = "factor-model"
 _MODEL_VERSION = 1
@@ -378,10 +377,12 @@ def rank_scan(t: np.ndarray, ranks, cfg: DecomposeConfig | None = None) -> RankS
     A solver failure is recorded on its restart's record instead of aborting
     the scan.  Ranks with no successful restart are skipped by the knee rule.
     The full per-restart curve is always part of the result so a caller can
-    override the automatic selection.
+    override the automatic selection.  An ascending ``range`` is checked
+    without being built, so a huge one fails at its first rank out of range.
     """
     cfg = cfg or DecomposeConfig()
-    ranks = sorted({int(r) for r in ranks})
+    if not (isinstance(ranks, range) and ranks.step > 0):
+        ranks = sorted({int(r) for r in ranks})
     if not ranks:
         raise ValueError("rank scan range must be non-empty")
     t = _validate_decompose_inputs(t, ranks)
@@ -494,11 +495,8 @@ def model_from_doc(doc: dict) -> FactorModel:
 
 
 def save_factor_model(path, model: FactorModel, **doc_kwargs) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_doc(model, **doc_kwargs), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(path, model_to_doc(model, **doc_kwargs))
 
 
 def load_factor_model(path) -> FactorModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_doc(json.load(fh))
+    return model_from_doc(_read_json(path))

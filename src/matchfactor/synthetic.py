@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .decompose import FactorModel
+from .decompose import FactorModel, _normalize_columns
 from .tensor import kruskal_tensor
 
 # behavioral archetypes used as the default 3-component signature pattern:
@@ -53,8 +53,12 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_players < 1 or self.n_matches < 1 or self.rank < 1:
             raise ValueError("n_players, n_matches and rank must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if len(self.group_sizes) != self.rank:
             raise ValueError("need one group size per component")
+        if min(self.group_sizes) < 0:
+            raise ValueError(f"group sizes {self.group_sizes} must be >= 0")
         if sum(self.group_sizes) != self.n_players:
             raise ValueError(
                 f"group sizes {self.group_sizes} must sum to n_players={self.n_players}"
@@ -151,11 +155,9 @@ def as_factor_model(
     factors = []
     weights = np.ones(users.shape[1])
     for mat in (users, features, time):
-        mat = np.asarray(mat, dtype=np.float64)
-        norms = np.linalg.norm(mat, axis=0)
+        factor, norms = _normalize_columns(np.asarray(mat, dtype=np.float64))
         weights = weights * norms
-        safe = np.where(norms > 0, norms, 1.0)
-        factors.append(mat / safe)
+        factors.append(factor)
     return FactorModel(
         weights=weights,
         factors=tuple(factors),
@@ -196,12 +198,19 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
         anchor_zero_row=spec.exact,
     )
     tensor = kruskal_tensor(np.ones(spec.rank), users, features, time)
-    tensor = apply_relative_noise(tensor, spec.noise, rng)
-
     scales = np.asarray(spec.feature_scales)
-    counts = tensor * scales[None, :, None]
-    if not spec.exact:
-        counts = np.round(counts)
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge value overflows: checked below
+        counts = apply_relative_noise(tensor, spec.noise, rng) * scales[None, :, None]
+        if not spec.exact:
+            counts = np.round(counts)
+        # express the truth in post-normalization coordinates: the pipeline will
+        # rescale feature j by (max - min) of its counts
+        span = counts.max(axis=(0, 2)) - counts.min(axis=(0, 2))
+        span = np.where(span > 0, span, 1.0)
+        features_scaled = features * (scales / span)[:, None]
+        truth = as_factor_model(users, features_scaled, time, seed=spec.seed)
+    if not (np.isfinite(counts).all() and np.isfinite(truth.weights).all()):
+        raise ValueError(f"noise {spec.noise} or feature_scales {spec.feature_scales} overflow")
 
     win_prob = 0.5 + np.asarray(spec.win_bias)[labels]
     wins = rng.random((spec.n_players, spec.n_matches)) < win_prob[:, None]
@@ -213,13 +222,6 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
         winners=wins,
         arena_id=spec.arena_id,
     )
-
-    # express the truth in post-normalization coordinates: the pipeline will
-    # rescale feature j by (max - min) of its counts
-    span = counts.max(axis=(0, 2)) - counts.min(axis=(0, 2))
-    span = np.where(span > 0, span, 1.0)
-    features_scaled = features * (scales / span)[:, None]
-    truth = as_factor_model(users, features_scaled, time, seed=spec.seed)
 
     return SyntheticResult(
         dataset=dataset,

@@ -180,17 +180,28 @@ def save_tensor3(path, t: np.ndarray, metadata: dict | None = None) -> None:
         fh.write(f'], "version": {_TENSOR_VERSION}}}\n')
 
 
+def _read_json(path):
+    """The document of a JSON file; invalid JSON or UTF-8 raises ``ValueError`` naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # invalid JSON or UTF-8, or too deep
+            raise ValueError(f"{Path(path)}: not a JSON file ({exc})") from None
+
+
+def _write_json(path, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def load_tensor3(path) -> tuple[np.ndarray, dict]:
     """Read a tensor written by :func:`save_tensor3`; returns (tensor, metadata).
 
     A file that is not such a container raises ``ValueError`` naming it.
     """
     where = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # invalid JSON or UTF-8
-            raise ValueError(f"{where}: not a JSON file ({exc})") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != _TENSOR_FORMAT:
         raise ValueError(f"{where}: not a dense-tensor3 container")
     if doc.get("version") != _TENSOR_VERSION:

@@ -401,6 +401,28 @@ class TestAnalyze:
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ("--k 0", "k must be in [1, 36], got 0"),
+            ("--k 1000000", "k must be in [1, 36], got 1000000"),
+            ("--membership-fraction 0", "fraction must be in (0, 1], got 0.0"),
+            ("--membership-fraction 2", "fraction must be in (0, 1], got 2.0"),
+            ("--membership-fraction nan", "fraction must be in (0, 1], got nan"),
+        ],
+    )
+    def test_flags_checked_before_the_first_fit(
+        self, tmp_path, monkeypatch, capsys, flags, message
+    ):
+        out = synth_and_ingest(tmp_path)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        calls = fail_seeds(monkeypatch, set())
+        assert self.analyze(out, *flags.split()) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        assert calls == []
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_kde_raw_mode(self, tmp_path):
         out = synth_and_ingest(tmp_path)
         assert self.analyze(out, "--kde-mode", "raw") == 0
@@ -512,6 +534,54 @@ class TestMalformedInputs:
         assert capsys.readouterr().err.startswith(message)
         assert not (out / "factor_model.json").exists()
 
+    @pytest.mark.parametrize(
+        "ranks, message",
+        [("1:1000000000000", "got 41"), ("-1000000000000:3", "got -1000000000000")],
+    )
+    def test_huge_rank_range_fails_before_it_is_built(self, tmp_path, capsys, ranks, message):
+        tensor = self.planted_container(tmp_path)
+        out = tmp_path / "o"
+        assert run("rank-scan", "--input", tensor, f"--ranks={ranks}", "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: rank must be in [1, 40], {message}\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("content", [b"{bad", b"\xff"], ids=repr)
+    @pytest.mark.parametrize("stage", ["synth", "analyze"])
+    def test_unreadable_json_names_its_file(self, tmp_path, capsys, stage, content):
+        out = tmp_path / "o"
+        out.mkdir()
+        if stage == "synth":
+            path = tmp_path / "spec.json"
+            args = ["synth", "--spec", path]
+        else:
+            path = out / "rank_selection.json"
+            args = ["analyze", "--input", self.planted_container(tmp_path), "--restarts", 1]
+        path.write_bytes(content)
+        assert run(*args, "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: not a JSON file (")
+        assert [p.name for p in out.iterdir()] == ([] if stage == "synth" else [path.name])
+
+    @pytest.mark.parametrize(
+        "spec, flags, message",
+        [
+            ({}, ["--seed", -1], "seed must be >= 0, got -1"),
+            (
+                {**SMALL_SPEC, "noise": 1e306},
+                [],
+                "noise 1e+306 or feature_scales (25.0, 15.0, 25.0, 20000.0) overflow",
+            ),
+        ],
+        ids=["seed flag", "noise"],
+    )
+    def test_synth_rejects_without_warning(self, tmp_path, capsys, spec, flags, message):
+        # warnings are errors in this suite, so neither case may warn on its way to the error
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        assert run("synth", "--spec", path, *flags, "--out-dir", out) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not any(out.iterdir())
+
     @pytest.mark.parametrize("command", [["rank-scan", "--ranks", "1:2"], ["analyze", "--rank", 2]])
     @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
     def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, command, tol):
@@ -549,6 +619,11 @@ class TestMalformedInputs:
             ({"seed": "a"}, "'seed' must be an integer"),
             ({"exact": "yes"}, "'exact' must be a boolean"),
             ({"exact": 1}, "'exact' must be a boolean"),
+            (
+                {"n_players": 36, "n_matches": 10, "group_sizes": [-1, 25, 12]},
+                "group sizes (-1, 25, 12) must be >= 0",
+            ),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
         ],
         ids=repr,
     )

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import random
 import tempfile
 from pathlib import Path
@@ -131,6 +132,26 @@ class TestIngestCsv:
         bad = CSV_FIXTURE.replace("bob,1,9,4,2,7500,1,11", "bob,1,x,4,2,7500,1,11")
         with pytest.raises(MalformedRecord, match="line 6.*assists"):
             ingest(write(tmp_path, "d.csv", bad), "csv", n_matches=3)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files in /proc")
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_malformed_record_leaves_no_file_open(self, tmp_path, line):
+        # line 1: the header, rejected inside the reader; line 2: a bad row in
+        # a full first chunk, rejected while the reader is suspended
+        header = ",".join(CSV_HEADER) if line == 2 else "a,b,c"
+        rows = ["alice,x,1,1,1,1,1,11"] + [f"p{i},0,1,1,1,1,1,11" for i in range(20_000)]
+        path = write(tmp_path, "export", "\n".join([header, *rows, ""]))
+        with pytest.raises(MalformedRecord, match=f"line {line}") as failure:
+            ingest(path, "csv")
+        # the held traceback keeps the failed parse's frames alive
+        open_files = set()
+        for fd in Path("/proc/self/fd").iterdir():
+            try:
+                open_files.add(os.readlink(fd))
+            except OSError:  # closed since the listing
+                pass
+        assert str(path) not in open_files
+        assert failure.value.line == line
 
     def test_negative_count_rejected(self, tmp_path):
         bad = CSV_FIXTURE.replace("bob,1,9,4,2,7500,1,11", "bob,1,-9,4,2,7500,1,11")

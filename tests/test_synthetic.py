@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,35 @@ class TestSpecValidation:
     def test_negative_noise(self):
         with pytest.raises(ValueError, match="noise"):
             small_spec(noise=-0.1)
+
+    def test_group_sizes_must_be_non_negative(self):
+        with pytest.raises(ValueError, match=r"^group sizes \(-1, 19, 12\) must be >= 0$"):
+            small_spec(group_sizes=(-1, 19, 12))
+        labels = generate_synthetic(small_spec(group_sizes=(0, 15, 15))).labels
+        assert labels.tolist() == [1] * 15 + [2] * 15
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            small_spec(seed=-1)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"noise": 1e306},
+            {"noise": 1e306, "exact": False},
+            # finite counts, but the one player's constant features leave the
+            # truth's feature factor at 1e300, whose norm overflows
+            {"n_players": 1, "n_matches": 1, "rank": 1, "group_sizes": (1,), "signatures": ((0,),),
+             "win_bias": (0.0,), "noise": 1e306, "feature_scales": (1e300, 1.0, 1.0, 1.0)},
+        ],
+        ids=["noise", "noise, rounded", "truth"],
+    )
+    def test_overflow_rejected(self, overrides):
+        # warnings are errors in this suite, so the overflow must not warn either
+        spec = small_spec(**overrides)
+        message = f"noise 1e+306 or feature_scales {spec.feature_scales} overflow"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_synthetic(spec)
 
 
 class TestGenerate:

@@ -233,6 +233,7 @@ def container(**fields):
 MALFORMED_CONTAINERS = {
     "list-document": ("[1, 2]", "container"),
     "invalid-json": ('{"dims": [1', "JSON"),
+    "deep-json": ("[" * 100_000 + "]" * 100_000, "JSON"),
     "missing-dims": (container(dims=None), "dims"),
     "two-dims": (container(dims=[1, 2]), "dims"),
     "zero-dim": (container(dims=[1, 0, 2]), "dims"),
