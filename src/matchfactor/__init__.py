@@ -49,10 +49,12 @@ from .errors import (
 )
 from .nnls import NnlsProblem, NnlsSolution, kkt_residual, solve_nnls_bpp
 from .patterns import (
+    Analysis,
     ClusterAssignment,
     ClusterTrajectories,
     FeatureSignature,
     WinRateStats,
+    analyze,
     cluster_feature_trajectories,
     feature_membership,
     intra_component_membership,

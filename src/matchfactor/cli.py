@@ -26,15 +26,9 @@ import numpy as np
 
 from . import __version__
 from .data import FEATURES, ingest, normalize_minmax
-from .decompose import DecomposeConfig, _validate_decompose_inputs, model_to_doc, rank_scan
+from .decompose import DecomposeConfig, model_to_doc, rank_scan
 from .errors import MatchFactorError
-from .patterns import (
-    cluster_feature_trajectories,
-    feature_membership,
-    kmeans,
-    temporal_modulation,
-    win_rate_stats,
-)
+from .patterns import analyze
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tensor import _read_json, _write_json, load_tensor3, save_tensor3
 
@@ -80,21 +74,22 @@ def _cells(*arrays: np.ndarray):
         yield [*idx, *(_fmt(a[idx]) for a in arrays)]
 
 
-def _restart_warnings(records) -> list[str]:
-    """One message per failed restart, also printed to stderr."""
+def _warn(records=(), others=()) -> list[str]:
+    """A warning on stderr per failed restart of ``records``, then per ``others``."""
     messages = [f"rank {r.rank} restart {r.restart} failed: {r.error}" for r in records if r.failed]
+    messages += others
     for message in messages:
         print(f"warning: {message}", file=sys.stderr)
     return messages
 
 
 def _parse_ranks(text: str) -> range:
-    text = text.strip()
-    for sep in (":", "-"):
-        if sep in text:
-            lo, hi = text.split(sep, 1)
-            return range(int(lo), int(hi) + 1)
-    return range(int(text), int(text) + 1)
+    lo, sep, hi = text.partition(":") if ":" in text else text.partition("-")
+    try:
+        return range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        message = f"--ranks must be R, LO:HI or LO-HI with integer bounds, got {text!r}"
+        raise ValueError(message) from None
 
 
 def _decompose_config(args: argparse.Namespace) -> DecomposeConfig:
@@ -161,7 +156,7 @@ def cmd_rank_scan(args: argparse.Namespace) -> tuple[dict, str]:
         ]
         for rec in result.records
     ]
-    failures = _restart_warnings(result.records)
+    failures = _warn(result.records)
     best = {
         str(rank): {
             "core_consistency": rec.core_consistency,
@@ -183,32 +178,6 @@ def cmd_rank_scan(args: argparse.Namespace) -> tuple[dict, str]:
         },
     }
     return artifacts, f"selected rank {result.selected_rank}: {result.rationale}"
-
-
-def _silhouette_sweep(
-    user_factors: np.ndarray, k_values, seed: int
-) -> tuple[list[dict], list[str]]:
-    results = []
-    warnings = []
-    n = user_factors.shape[0]
-    for k in k_values:
-        if not 2 <= k <= n:
-            warnings.append(f"k={k} outside the valid range [2, {n}]; skipped")
-            continue
-        try:
-            assign = kmeans(user_factors, k, seed=seed)
-        except MatchFactorError as exc:
-            warnings.append(f"k={k} clustering failed: {type(exc).__name__}: {exc}")
-            continue
-        results.append(
-            {
-                "k": k,
-                "silhouette": assign.silhouette,
-                "inertia": assign.inertia,
-                "cluster_sizes": list(assign.cluster_sizes()),
-            }
-        )
-    return results, warnings
 
 
 def _container_metadata(path, metadata: dict, shape) -> tuple[list, list, np.ndarray | None]:
@@ -257,37 +226,26 @@ def _selected_rank(out_dir) -> int:
     return rank
 
 
+def _clustering_doc(assign) -> dict:
+    return {
+        "k": assign.n_clusters,
+        "silhouette": assign.silhouette,
+        "inertia": assign.inertia,
+        "cluster_sizes": list(assign.cluster_sizes()),
+    }
+
+
 def cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
     t, metadata = load_tensor3(args.input)
     feature_names, player_ids, winner = _container_metadata(args.input, metadata, t.shape)
     rank = args.rank if args.rank is not None else _selected_rank(args.out_dir)
-    k_main = args.k if args.k is not None else rank  # default: one cluster per component
-    _validate_decompose_inputs(t, [rank])  # rank_scan's checks come before the two below
-    if not 0.0 < args.membership_fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {args.membership_fraction}")
-    if not 1 <= k_main <= t.shape[0]:
-        raise ValueError(f"k must be in [1, {t.shape[0]}], got {k_main}")
-
-    # a one-rank scan: the restarts' records carry their models and consistencies
-    scan = rank_scan(t, [rank], _decompose_config(args))
-    restart_warnings = _restart_warnings(scan.records)
-    best = scan.best(rank)
-    model, cc = best.model, best.core_consistency
-
-    # feature signatures (masked feature-factor view)
-    signature = feature_membership(model.factors[1], fraction=args.membership_fraction)
-
-    # player clustering at k, then its neighbors
-    assign = kmeans(model.factors[0], k_main, seed=args.seed)
-    sweep_ks = [k for k in range(rank - 1, rank + 3) if k != k_main]
-    sweep, warnings = _silhouette_sweep(model.factors[0], sweep_ks, args.seed)
-    for message in warnings:
-        print(f"warning: {message}", file=sys.stderr)
-
-    # membership modulated in time, per cluster and component
-    profile = temporal_modulation(model, assign.labels)
-    # raw per-cluster feature trajectories (validation view)
-    trajectories = cluster_feature_trajectories(t, assign.labels)
+    report = analyze(
+        t, rank, _decompose_config(args), k=args.k, fraction=args.membership_fraction,
+        winner=winner, kde_mode=args.kde_mode,
+    )
+    warnings = _warn(report.records, report.sweep_warnings)
+    model, cc = report.best.model, report.best.core_consistency
+    signature, clusters, stats = report.signature, report.clusters, report.win_rates
 
     artifacts = {
         "factor_model.json": model_to_doc(model, core_consistency_value=cc),
@@ -305,23 +263,20 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
             "empty_components": list(signature.empty_components),
         },
         "clusters.json": {
-            "k": k_main,
-            "labels": {pid: int(c) for pid, c in zip(player_ids, assign.labels)},
-            "cluster_sizes": list(assign.cluster_sizes()),
-            "centroids": [list(map(float, row)) for row in assign.centroids],
-            "inertia": assign.inertia,
-            "silhouette": assign.silhouette,
+            **_clustering_doc(clusters),
+            "labels": {pid: int(c) for pid, c in zip(player_ids, clusters.labels)},
+            "centroids": clusters.centroids.tolist(),
             "sample_silhouettes": (
-                assign.sample_silhouettes.tolist()
-                if assign.sample_silhouettes is not None
+                clusters.sample_silhouettes.tolist()
+                if clusters.sample_silhouettes is not None
                 else None
             ),
-            "silhouette_sweep": sweep,
-            "warnings": warnings,
+            "silhouette_sweep": [_clustering_doc(assign) for assign in report.sweep],
+            "warnings": list(report.sweep_warnings),
         },
         "temporal_profiles.csv": (
             ["cluster", "component", "step", "mean", "stderr"],
-            _cells(profile.means, profile.stderrs),
+            _cells(report.profile.means, report.profile.stderrs),
         ),
         # temporal activation of each component (time factor columns)
         "component_activity.csv": (
@@ -331,15 +286,14 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
         "feature_trajectories.csv": (
             ["cluster", "feature", "step", "mean", "stderr"],
             (
-                [ci, feature_names[j], step, m, se]
-                for ci, j, step, m, se in _cells(trajectories.means, trajectories.stderrs)
+                [ci, feature_names[j], *rest]
+                for ci, j, *rest in _cells(report.trajectories.means, report.trajectories.stderrs)
             ),
         ),
     }
-
-    # win-rate distributions per cluster
-    if winner is not None:
-        stats = win_rate_stats(winner, assign.labels, mode=args.kde_mode)
+    if stats is None:
+        _warn(others=["tensor container has no winner metadata; win-rate stats skipped"])
+    else:
         artifacts["win_rate_kde.csv"] = (
             ["cluster", "win_rate", "density"],
             ([ci, _fmt(stats.grid[g]), d] for ci, g, d in _cells(stats.densities)),
@@ -353,24 +307,18 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
                 for a, b, t_stat, p in stats.pairwise_tests
             ],
         }
-    else:
-        print(
-            "warning: tensor container has no winner metadata; win-rate stats skipped",
-            file=sys.stderr,
-        )
-
     artifacts["analyze_summary.json"] = {
         "rank": rank,
         "core_consistency": cc,
         "fit": model.fit,
-        "k": k_main,
-        "cluster_sizes": list(assign.cluster_sizes()),
-        "silhouette": assign.silhouette,
-        "warnings": restart_warnings + warnings,
+        "k": clusters.n_clusters,
+        "cluster_sizes": list(clusters.cluster_sizes()),
+        "silhouette": clusters.silhouette,
+        "warnings": warnings,
     }
     message = (
         f"analyzed rank {rank}: fit {model.fit:.6f}, core consistency {cc:.2f}, "
-        f"clusters {assign.cluster_sizes()}"
+        f"clusters {clusters.cluster_sizes()}"
     )
     return artifacts, message
 

@@ -268,14 +268,17 @@ def _csv_rows(path):
     width = len(CSV_HEADER)
     with contextlib.closing(_lines(path, newline="")) as lines:
         reader = csv.reader(lines)
-        header = next(reader, None)
-        if header is None or tuple(header) != CSV_HEADER:
-            raise MalformedRecord(f"bad CSV header: expected {','.join(CSV_HEADER)}", line=1)
-        for row in reader:
-            if row:  # blank lines are skipped
-                # absent trailing fields count as missing, extra ones are ignored
-                row = row if len(row) == width else (row + [None] * width)[:width]
-                yield row, "csv record", reader.line_num
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != CSV_HEADER:
+                raise MalformedRecord(f"bad CSV header: expected {','.join(CSV_HEADER)}", line=1)
+            for row in reader:
+                if row:  # blank lines are skipped
+                    # absent trailing fields count as missing, extra ones are ignored
+                    row = row if len(row) == width else (row + [None] * width)[:width]
+                    yield row, "csv record", reader.line_num
+        except csv.Error as exc:  # such as a field over the csv module's size limit
+            raise MalformedRecord(f"invalid CSV: {exc}", reader.line_num) from None
 
 
 def _json_lines_rows(path):
@@ -285,7 +288,7 @@ def _json_lines_rows(path):
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedRecord(f"invalid JSON: {exc}", line_no) from None
         if not isinstance(row, dict):
             raise MalformedRecord("record is not an object", line_no)
@@ -300,7 +303,7 @@ def _riot_match_json_rows(path):
     except UnicodeDecodeError:
         # skips every line, so it raises at the first undecodable one
         next(_lines_up_to_undecodable(path, None, skip=math.inf))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # invalid, or nested too deep
         raise MalformedRecord(f"invalid JSON: {exc}") from None
     matches = doc.get("matches") if isinstance(doc, dict) else None
     if not isinstance(matches, list):

@@ -3,7 +3,7 @@
 Feature signatures (which features carry a component), player clustering on
 the user factors, temporal modulation of memberships, raw-data validation
 trajectories, and the win-rate statistics (kernel density estimates plus
-pairwise Welch tests).
+pairwise Welch tests); ``analyze`` fits one rank and runs all of them.
 """
 
 from __future__ import annotations
@@ -14,7 +14,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .decompose import FactorModel
+from .decompose import (
+    DecomposeConfig,
+    FactorModel,
+    RestartRecord,
+    _validate_decompose_inputs,
+    rank_scan,
+)
 from .errors import ConstantColumn, EmptyClusterUnrecoverable
 from .tensor import as_matrix, as_tensor3
 
@@ -35,6 +41,16 @@ def _as_labels(labels: np.ndarray, n: int, per: str) -> np.ndarray:
     if labels.shape != (n,):
         raise ValueError(f"labels must have one entry per {per}")
     return labels
+
+
+def _check_fraction(fraction: float) -> None:
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+
+
+def _check_k(k: int, n: int) -> None:
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +95,7 @@ def feature_membership(
     b = as_matrix(feature_factors)
     if (b < 0).any():
         raise ValueError("feature factors must be non-negative")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    _check_fraction(fraction)
 
     retained_indices: list[tuple[int, ...]] = []
     retained_values: list[tuple[float, ...]] = []
@@ -197,9 +212,7 @@ def kmeans(
     EmptyClusterUnrecoverable is raised only if every run fails.
     """
     points = as_matrix(points)
-    n = points.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    _check_k(k, points.shape[0])
     if n_init < 1:
         raise ValueError("n_init must be >= 1")
 
@@ -481,4 +494,75 @@ def win_rate_stats(
         grid=grid,
         densities=densities,
         pairwise_tests=tuple(tests),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the analysis at one rank
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """What ``analyze`` derives at one rank."""
+
+    records: tuple[RestartRecord, ...]
+    best: RestartRecord
+    signature: FeatureSignature
+    clusters: ClusterAssignment
+    sweep: tuple[ClusterAssignment, ...]
+    sweep_warnings: tuple[str, ...]
+    profile: ClusterTrajectories
+    trajectories: ClusterTrajectories
+    win_rates: WinRateStats | None
+
+
+def analyze(
+    t: np.ndarray,
+    rank: int,
+    cfg: DecomposeConfig | None = None,
+    k: int | None = None,
+    fraction: float = 0.95,
+    winner: np.ndarray | None = None,
+    kde_mode: str = "player-mean",
+) -> Analysis:
+    """Fit ``rank`` (the restart of highest core consistency) and interpret it.
+
+    Players are clustered at ``k`` (default: the rank) and, for a silhouette
+    sweep, at every other k in ``rank - 1 .. rank + 2``, seeded with
+    ``cfg.seed``; ``sweep`` holds the k values that clustered and
+    ``sweep_warnings`` why the others did not.  Every argument is checked
+    before the first fit.  Failed restarts stay in ``records``; nothing is
+    printed.
+    """
+    cfg = cfg or DecomposeConfig()
+    t = _validate_decompose_inputs(t, [rank])
+    _check_fraction(fraction)
+    k = rank if k is None else k
+    n = t.shape[0]
+    _check_k(k, n)
+
+    scan = rank_scan(t, [rank], cfg)
+    best = scan.best(rank)
+    model, users = best.model, best.model.factors[0]
+    clusters = kmeans(users, k, seed=cfg.seed)
+    sweep, sweep_warnings = [], []
+    for other in [o for o in range(rank - 1, rank + 3) if o != k]:
+        if not 2 <= other <= n:
+            sweep_warnings.append(f"k={other} outside the valid range [2, {n}]; skipped")
+            continue
+        try:
+            sweep.append(kmeans(users, other, seed=cfg.seed))
+        except EmptyClusterUnrecoverable as exc:
+            sweep_warnings.append(f"k={other} clustering failed: {type(exc).__name__}: {exc}")
+
+    return Analysis(
+        records=scan.records,
+        best=best,
+        signature=feature_membership(model.factors[1], fraction=fraction),
+        clusters=clusters,
+        sweep=tuple(sweep),
+        sweep_warnings=tuple(sweep_warnings),
+        profile=temporal_modulation(model, clusters.labels),
+        trajectories=cluster_feature_trajectories(t, clusters.labels),
+        win_rates=None if winner is None else win_rate_stats(winner, clusters.labels, kde_mode),
     )

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -420,8 +421,51 @@ class TestAnalyze:
         calls = fail_seeds(monkeypatch, set())
         assert self.analyze(out, *flags.split()) == 1
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
-        assert calls == []
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        # the library entry point checks the same values in the same place
+        flag, value = flags.split()
+        kwargs = {"k": int(value)} if flag == "--k" else {"fraction": float(value)}
+        t, _ = load_tensor3(out / "tensor.json")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            matchfactor.analyze(t, 3, **kwargs)
+        assert calls == []
+
+    def test_library_analyze_returns_what_the_cli_writes(self, tmp_path):
+        path = TestMalformedInputs.planted_container(tmp_path)
+        out = tmp_path / "o"
+        assert run("analyze", "--input", path, "--rank", 2, "--restarts", 2, "--out-dir", out) == 0
+        t, _ = load_tensor3(path)
+        report = matchfactor.analyze(t, 2, matchfactor.DecomposeConfig(n_restarts=2))
+        written = matchfactor.load_factor_model(out / "factor_model.json")
+        assert np.array_equal(written.weights, report.best.model.weights)
+        for got, want in zip(written.factors, report.best.model.factors):
+            assert np.array_equal(got, want)
+        clusters = json.loads((out / "clusters.json").read_text())
+        assert [clusters["labels"][f"row{i}"] for i in range(12)] == report.clusters.labels.tolist()
+        assert clusters["silhouette_sweep"] == [
+            {
+                "k": a.n_clusters,
+                "silhouette": a.silhouette,
+                "inertia": a.inertia,
+                "cluster_sizes": list(a.cluster_sizes()),
+            }
+            for a in report.sweep
+        ]
+        assert clusters["warnings"] == list(report.sweep_warnings) == [
+            "k=1 outside the valid range [2, 12]; skipped"
+        ]
+        assert report.win_rates is None  # the container has no winner matrix
+
+    def test_library_analyze_prints_nothing(self, tmp_path, monkeypatch, capsys):
+        t, metadata = load_tensor3(synth_and_ingest(tmp_path) / "tensor.json")
+        capsys.readouterr()
+        fail_seeds(monkeypatch, {1})
+        cfg = matchfactor.DecomposeConfig(n_restarts=2, max_outer_iters=120)
+        report = matchfactor.analyze(t, 3, cfg, winner=np.asarray(metadata["winner"]))
+        assert capsys.readouterr() == ("", "")
+        assert [rec.error for rec in report.records] == [None, "MaxIterationsExceeded: seed 1 stalled"]
+        assert report.best is report.records[0]
+        assert len(report.win_rates.pairwise_tests) == 3
 
     def test_kde_raw_mode(self, tmp_path):
         out = synth_and_ingest(tmp_path)
@@ -536,13 +580,20 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize(
         "ranks, message",
-        [("1:1000000000000", "got 41"), ("-1000000000000:3", "got -1000000000000")],
+        [
+            ("1:1000000000000", "rank must be in [1, 40], got 41"),
+            ("-1000000000000:3", "rank must be in [1, 40], got -1000000000000"),
+            *(
+                (ranks, f"--ranks must be R, LO:HI or LO-HI with integer bounds, got {ranks!r}")
+                for ranks in ["x", "-2", "1:"]
+            ),
+        ],
     )
-    def test_huge_rank_range_fails_before_it_is_built(self, tmp_path, capsys, ranks, message):
+    def test_bad_rank_range_fails_before_it_is_built(self, tmp_path, capsys, ranks, message):
         tensor = self.planted_container(tmp_path)
         out = tmp_path / "o"
         assert run("rank-scan", "--input", tensor, f"--ranks={ranks}", "--out-dir", out) == 1
-        assert capsys.readouterr().err == f"error: rank must be in [1, 40], {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("content", [b"{bad", b"\xff"], ids=repr)

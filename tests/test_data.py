@@ -153,6 +153,12 @@ class TestIngestCsv:
         assert str(path) not in open_files
         assert failure.value.line == line
 
+    def test_oversized_field_reports_line(self, tmp_path):
+        # the csv module refuses fields over 131,072 characters
+        bad = CSV_FIXTURE.replace("alice,1,", "x" * 200_000 + ",1,")
+        with pytest.raises(MalformedRecord, match="^line 3: invalid CSV: field larger"):
+            ingest(write(tmp_path, "d.csv", bad), "csv", n_matches=3)
+
     def test_negative_count_rejected(self, tmp_path):
         bad = CSV_FIXTURE.replace("bob,1,9,4,2,7500,1,11", "bob,1,-9,4,2,7500,1,11")
         with pytest.raises(MalformedRecord, match="non-negative"):
@@ -399,6 +405,13 @@ class TestRiotShapes:
         path = write(tmp_path, "d.json", '{"matches": [')
         with pytest.raises(MalformedRecord, match="invalid JSON"):
             ingest(path, "riot-match-json", n_matches=3)
+
+    @pytest.mark.parametrize("fmt", ["riot-match-json", "json-lines"])
+    def test_json_nested_too_deep(self, tmp_path, fmt):
+        # deeper than the json module's parser can recurse
+        path = write(tmp_path, "d.json", "[" * 100_000 + "]" * 100_000)
+        with pytest.raises(MalformedRecord, match="invalid JSON: maximum recursion depth"):
+            ingest(path, fmt, n_matches=3)
 
 
 def with_bad_line(text, line_no, newline="\n"):
