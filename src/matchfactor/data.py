@@ -14,7 +14,9 @@ Input formats
     ``gameCreation``, ``participantIdentities`` (participantId -> player)
     and ``participants`` (participantId -> stats block).  Per player,
     ``match_index`` is the chronological rank of the match (ties broken by
-    file position).
+    file position).  The reader holds the file's text but decodes one match
+    at a time and keeps only its seats, so the parsed document never exists
+    whole; errors are those of ``json.loads`` on the whole document.
 
 An undecodable line in any of them is a ``MalformedRecord`` with its line
 number.
@@ -39,8 +41,11 @@ import io
 import json
 import logging
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
+from json.decoder import scanstring
+from operator import itemgetter
 
 import numpy as np
 
@@ -64,6 +69,11 @@ CSV_HEADER = (
 
 # rows parsed at once: bounds the raw values held while reading
 _CHUNK = 8192
+
+# one JSON value at an index, as json.loads decodes it; and the whitespace
+# JSON allows between tokens
+_decode = json.JSONDecoder().raw_decode
+_space = re.compile(r"[ \t\n\r]*").match
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,9 +297,14 @@ def _json_lines_rows(path):
         if not line:
             continue
         try:
-            row = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise MalformedRecord(f"invalid JSON: {exc}", line_no) from None
+            row, end = _decode(line)
+        except (ValueError, RecursionError):  # JSONDecodeError, or an int too long
+            end = None
+        if end != len(line):  # json.loads raises with its own message
+            try:
+                row = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise MalformedRecord(f"invalid JSON: {exc}", line_no) from None
         if not isinstance(row, dict):
             raise MalformedRecord("record is not an object", line_no)
         yield tuple(map(row.get, CSV_HEADER)), "json record", line_no
@@ -297,57 +312,148 @@ def _json_lines_rows(path):
 
 def _riot_match_json_rows(path):
     """Flatten saved match-endpoint responses into per-player rows."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except UnicodeDecodeError:
-        # skips every line, so it raises at the first undecodable one
-        next(_lines_up_to_undecodable(path, None, skip=math.inf))
-    except (json.JSONDecodeError, RecursionError) as exc:  # invalid, or nested too deep
-        raise MalformedRecord(f"invalid JSON: {exc}") from None
-    matches = doc.get("matches") if isinstance(doc, dict) else None
-    if not isinstance(matches, list):
-        raise MalformedRecord("riot-match-json file must hold a 'matches' list")
-
-    staged = []
-    for pos, match in enumerate(matches):
-        where = f"match {pos}"
-        if not isinstance(match, dict):
-            raise MalformedRecord(f"{where}: not an object")
-        arena = _parse_int(match.get("mapId"), "mapId", where, None)
-        creation = _parse_int(match.get("gameCreation", pos), "gameCreation", where, None)
-        try:
-            identities = {}
-            for ident in match.get("participantIdentities", []):
-                pid = ident.get("participantId")
-                player = (ident.get("player") or {}).get("summonerName")
-                if pid is None or not player:
-                    raise MalformedRecord(f"{where}: incomplete participant identity")
-                identities[pid] = str(player)
-            for part in match.get("participants", []):
-                pid = part.get("participantId")
-                if pid not in identities:
-                    raise MalformedRecord(f"{where}: participant {pid} has no identity")
-                stats = part.get("stats") or {}
-                values = list(map(stats.get, ("assists", "deaths", "kills", "goldEarned", "win")))
-                if None in values:
-                    missing = [k for k, v in zip(CSV_HEADER[2:7], values) if v is None]
-                    raise MalformedRecord(f"{where}: missing fields {missing}")
-                staged.append((identities[pid], creation, pos, arena, values))
-        except (AttributeError, TypeError):  # a non-object, or a list as participantId
-            raise MalformedRecord(
-                f"{where}: participants, identities, their player and stats must be objects"
-                " and participantId a scalar"
-            ) from None
-
+    staged = _riot_seats(path)
     # a player's match_index is the chronological rank of the match, ties
     # broken by file position
-    staged.sort(key=lambda item: item[:3])
+    staged.sort(key=itemgetter(0, 1, 2))
     counters: dict[str, int] = {}
-    for player, _, pos, arena, (assists, deaths, kills, gold, win) in staged:
+    for player, _, pos, arena, assists, deaths, kills, gold, win in staged:
         k = counters[player] = counters.get(player, -1) + 1
         row = (player, k, assists, deaths, kills, gold, win, arena)
         yield row, f"match at position {pos}", None
+
+
+def _riot_seats(path) -> list:
+    """The seats of a riot export as ``(player, gameCreation, position,
+    mapId, assists, deaths, kills, gold, win)``.
+
+    Reads the whole text but decodes one match at a time, so no parsed
+    document is ever held.  Invalid JSON anywhere wins over a malformed
+    match, and a repeated ``matches`` key counts only the last time, as for
+    ``json.loads``.  A document the walk does not take is parsed again with
+    ``json.loads``, on that path only, for its exact error.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        # skips every line, so it raises at the first undecodable one
+        next(_lines_up_to_undecodable(path, None, skip=math.inf))
+    try:
+        seats, error = _walk_riot_document(text)
+    except (ValueError, RecursionError):  # JSONDecodeError, or not one JSON object
+        try:
+            json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:  # invalid, or nested too deep
+            raise MalformedRecord(f"invalid JSON: {exc}") from None
+        seats = None
+    if seats is None:
+        raise MalformedRecord("riot-match-json file must hold a 'matches' list")
+    if error is not None:
+        raise error
+    return seats
+
+
+def _walk_riot_document(text: str) -> tuple:
+    """Seats of the last ``matches`` list of the JSON object ``text`` (None
+    without one) and the first error of its matches.  Raises ``ValueError``
+    where ``text`` is not a single JSON object."""
+    seats = error = None
+    names: dict[str, str] = {}  # one string per player name
+    i = _space(text).end()
+    if text[i : i + 1] != "{":
+        raise ValueError("expecting '{'")
+    more, i = _first_item(text, i + 1, "}")
+    while more:
+        if text[i : i + 1] != '"':
+            raise ValueError("expecting a key")
+        key, i = scanstring(text, i + 1)
+        i = _space(text, i).end()
+        if text[i : i + 1] != ":":
+            raise ValueError("expecting ':'")
+        i = _space(text, i + 1).end()
+        if key == "matches" and text[i : i + 1] == "[":
+            seats, error, i = _walk_matches(text, i + 1, names)
+        else:
+            if key == "matches":
+                seats = error = None
+            i = _decode(text, i)[1]
+        more, i = _next_item(text, i, "}")
+    if _space(text, i).end() != len(text):
+        raise ValueError("extra data")
+    return seats, error
+
+
+def _walk_matches(text: str, i: int, names: dict[str, str]) -> tuple:
+    """The seats and first error of the matches list that starts after its
+    ``[`` at ``i``, and the index past its ``]``.  After an error, matches
+    are decoded but not staged."""
+    seats, error = [], None
+    more, i = _first_item(text, i, "]")
+    pos = 0
+    while more:
+        match, i = _decode(text, i)
+        if error is None:
+            try:
+                seats += _match_seats(match, pos, names)
+            except MalformedRecord as exc:
+                error = exc
+        pos += 1
+        more, i = _next_item(text, i, "]")
+    return seats, error, i
+
+
+def _first_item(text: str, i: int, close: str) -> tuple[bool, int]:
+    """After an opening bracket that ends at ``i``: ``(True, start of the
+    first item)``, or ``(False, end)`` past the closing bracket."""
+    i = _space(text, i).end()
+    return (False, i + 1) if text[i : i + 1] == close else (True, i)
+
+
+def _next_item(text: str, i: int, close: str) -> tuple[bool, int]:
+    """After an item that ends at ``i``: ``(True, start of the next item)``
+    past a comma, or ``(False, end)`` past the closing bracket."""
+    i = _space(text, i).end()
+    if text[i : i + 1] == ",":
+        return True, _space(text, i + 1).end()
+    if text[i : i + 1] == close:
+        return False, i + 1
+    raise ValueError(f"expecting ',' or {close!r}")
+
+
+def _match_seats(match, pos: int, names: dict[str, str]) -> list:
+    """The seats of the riot match at list position ``pos``."""
+    where = f"match {pos}"
+    if not isinstance(match, dict):
+        raise MalformedRecord(f"{where}: not an object")
+    arena = _parse_int(match.get("mapId"), "mapId", where, None)
+    creation = _parse_int(match.get("gameCreation", pos), "gameCreation", where, None)
+    seats = []
+    try:
+        identities = {}
+        for ident in match.get("participantIdentities", []):
+            pid = ident.get("participantId")
+            player = (ident.get("player") or {}).get("summonerName")
+            if pid is None or not player:
+                raise MalformedRecord(f"{where}: incomplete participant identity")
+            player = str(player)
+            identities[pid] = names.setdefault(player, player)
+        for part in match.get("participants", []):
+            pid = part.get("participantId")
+            if pid not in identities:
+                raise MalformedRecord(f"{where}: participant {pid} has no identity")
+            stats = part.get("stats") or {}
+            values = list(map(stats.get, ("assists", "deaths", "kills", "goldEarned", "win")))
+            if None in values:
+                missing = [k for k, v in zip(CSV_HEADER[2:7], values) if v is None]
+                raise MalformedRecord(f"{where}: missing fields {missing}")
+            seats.append((identities[pid], creation, pos, arena, *values))
+    except (AttributeError, TypeError):  # a non-object, or a list as participantId
+        raise MalformedRecord(
+            f"{where}: participants, identities, their player and stats must be objects"
+            " and participantId a scalar"
+        ) from None
+    return seats
 
 
 _READERS = {

@@ -53,6 +53,16 @@ def _check_k(k: int, n: int) -> None:
         raise ValueError(f"k must be in [1, {n}], got {k}")
 
 
+def _win_rate_inputs(winner_matrix, labels, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    w = np.asarray(winner_matrix, dtype=np.float64)
+    if w.ndim != 2:
+        raise ValueError("winner matrix must be players x matches")
+    labels = _as_labels(labels, w.shape[0], "player")
+    if mode not in ("player-mean", "raw"):
+        raise ValueError(f"unknown mode {mode!r}")
+    return w, labels
+
+
 # ---------------------------------------------------------------------------
 # feature signatures
 
@@ -463,12 +473,7 @@ def win_rate_stats(
     pooled binary outcomes themselves.  Each cluster's density uses its own
     Silverman bandwidth, on one grid sized by the widest.
     """
-    w = np.asarray(winner_matrix, dtype=np.float64)
-    if w.ndim != 2:
-        raise ValueError("winner matrix must be players x matches")
-    labels = _as_labels(labels, w.shape[0], "player")
-    if mode not in ("player-mean", "raw"):
-        raise ValueError(f"unknown mode {mode!r}")
+    w, labels = _win_rate_inputs(winner_matrix, labels, mode)
 
     clusters, sizes = np.unique(labels, return_counts=True)
     samples = []
@@ -540,6 +545,8 @@ def analyze(
     k = rank if k is None else k
     n = t.shape[0]
     _check_k(k, n)
+    if winner is not None:  # any labels of one entry per player stand in for the clusters
+        _win_rate_inputs(winner, np.zeros(n, dtype=int), kde_mode)
 
     scan = rank_scan(t, [rank], cfg)
     best = scan.best(rank)

@@ -235,8 +235,11 @@ def _records_from_json_lines(path):
 
 def _records_from_riot_match_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    matches = doc.get("matches")
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(f"invalid JSON: {exc}") from None
+    matches = doc.get("matches") if isinstance(doc, dict) else None
     if not isinstance(matches, list):
         raise MalformedRecord("riot-match-json file must hold a 'matches' list")
     staged = []

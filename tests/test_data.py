@@ -4,6 +4,7 @@ import json
 import os
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -406,12 +407,98 @@ class TestRiotShapes:
         with pytest.raises(MalformedRecord, match="invalid JSON"):
             ingest(path, "riot-match-json", n_matches=3)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"matches": ["x"], "after": tru}', "^invalid JSON: Expecting value: line 1 column 29"),
+            ('{"matches": ["x"]} x', "^invalid JSON: Extra data: line 1 column 20"),
+            ('\ufeff{"matches": []}', "^invalid JSON: Unexpected UTF-8 BOM"),
+            ('{"matches": ["x"], "matches": 5}', "^riot-match-json file must hold a 'matches' list$"),
+            ('{"matches": ["x"], "matches": [7]}', "^match 0: not an object$"),
+            ('{"matches": [{"mapId": 11}, "x", 7]}', "^match 1: not an object$"),
+        ],
+    )
+    def test_document_errors(self, tmp_path, text, message):
+        # invalid JSON anywhere wins, and the last matches list counts
+        path = write(tmp_path, "d.json", text)
+        with pytest.raises(MalformedRecord, match=message):
+            ingest(path, "riot-match-json", n_matches=3)
+
+    def test_last_matches_list_counts(self, tmp_path):
+        matches = json.dumps(json.loads(csv_to_riot_json(CSV_FIXTURE))["matches"])
+        text = f'{{"matches": ["x"], "total": 6, "matches":\n {matches}, "v": {{"matches": 1}}}}'
+        result = ingest(write(tmp_path, "d.json", text), "riot-match-json", n_matches=3)
+        plain = ingest(write(tmp_path, "p.csv", CSV_FIXTURE), "csv", n_matches=3)
+        assert_same_dataset(result.dataset, plain.dataset)
+
     @pytest.mark.parametrize("fmt", ["riot-match-json", "json-lines"])
     def test_json_nested_too_deep(self, tmp_path, fmt):
         # deeper than the json module's parser can recurse
         path = write(tmp_path, "d.json", "[" * 100_000 + "]" * 100_000)
         with pytest.raises(MalformedRecord, match="invalid JSON: maximum recursion depth"):
             ingest(path, fmt, n_matches=3)
+
+
+def riot_export(n_players, n_matches, seed=0):
+    """A riot export shaped like the match endpoint's: every player's k-th
+    match shares a ten-seat match object, and the match list is shuffled."""
+    rng = random.Random(seed)
+    players = [f"summoner{i:03d}" for i in range(n_players)]
+    matches = []
+    for k in range(n_matches):
+        rng.shuffle(players)
+        for first in range(0, n_players, 10):
+            seats = list(enumerate(players[first : first + 10], 1))
+            stats = [
+                {
+                    "assists": rng.randint(0, 30),
+                    "deaths": rng.randint(0, 20),
+                    "kills": rng.randint(0, 25),
+                    "goldEarned": rng.randint(5000, 20000),
+                    "win": seat <= 5,
+                }
+                for seat, _ in seats
+            ]
+            matches.append(
+                {
+                    "gameId": len(matches),
+                    "mapId": 11,
+                    "gameCreation": 1_500_000_000_000 + 3_600_000 * k + first,
+                    "participantIdentities": [
+                        {"participantId": seat, "player": {"summonerName": name}}
+                        for seat, name in seats
+                    ],
+                    "participants": [
+                        {"participantId": seat, "stats": s} for (seat, _), s in zip(seats, stats)
+                    ],
+                }
+            )
+    rng.shuffle(matches)
+    return json.dumps({"matches": matches})
+
+
+def traced_peak(call):
+    """The peak of memory traced by ``tracemalloc`` while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRiotMemory:
+    def test_peak_below_the_whole_document_reference(self, tmp_path):
+        # the reader decodes one match at a time; a parsed tree of the whole
+        # export alone would bring its peak up to the reference's
+        path = write(tmp_path, "d.json", riot_export(n_players=40, n_matches=100))
+        result = ingest(path, "riot-match-json")
+        expect = ingest_by_records(path, "riot-match-json")
+        assert result.dataset.player_ids == expect["player_ids"]
+        np.testing.assert_array_equal(result.dataset.counts, expect["counts"])
+        streamed = traced_peak(lambda: ingest(path, "riot-match-json"))
+        whole = traced_peak(lambda: ingest_by_records(path, "riot-match-json"))
+        assert streamed <= 0.6 * whole, (streamed, whole)
 
 
 def with_bad_line(text, line_no, newline="\n"):
@@ -484,7 +571,7 @@ JSON_TOKENS = {
 }
 FIELD_KIND = ("player_id", "match_index", *["count"] * len(FEATURES), "winner", "arena_id")
 ODD_CSV_LINES = ["", "a,0,1", "a,0,1,1,1,1,1,11,extra", '"a\n",0']
-ODD_JSON_LINES = ["", "  ", "not json", "[1, 2]", '{"a": 1} x']
+ODD_JSON_LINES = ["", "  ", "not json", "[1, 2]", '{"a": 1} x', "\ufeff{}"]
 
 
 def fuzzed_records(rng):
@@ -557,7 +644,41 @@ def fuzzed_riot(rng):
             doc["participants"].append({"participantId": fuzz(seat, [seat + 1]), "stats": stats})
         docs.append({k: v for k, v in doc.items() if v is not None})
     rng.shuffle(docs)
-    return json.dumps({"matches": docs})
+    return riot_document(rng, docs)
+
+
+def riot_document(rng, docs):
+    """The text of a riot export of ``docs``: indented or not, with other
+    top-level keys, a repeated ``matches`` key, a syntax error after a
+    malformed match, trailing data, a BOM, or not an object at all."""
+    indent = rng.choice([None, None, 0, 1, "\t"])
+    separators = rng.choice([(", ", ": "), (",", ":"), (" ,\r\n\t", " \n: ")])
+
+    def dump(value):
+        return json.dumps(value, indent=indent, separators=separators)
+
+    variant = rng.choice(["plain"] * 6 + ["broken", "trailing", "bom", "not-object"])
+    if variant == "broken":
+        docs.insert(rng.randint(0, len(docs)), "not a match")
+    members = [(rng.choice(['"matches"', '"m\\u0061tches"']), dump(docs))]
+    others = [("gameVersion", "7.1"), ("meta", {"matches": 5}), ("total", len(docs))]
+    for key, value in rng.sample(others, rng.choice([0, 0, 1, 2])):
+        members.insert(rng.randint(0, len(members)), (json.dumps(key), dump(value)))
+    if rng.random() < 0.2:
+        value = rng.choice([[], docs[:1], docs[::-1], 5, None, {"a": 1}, ["x"]])
+        members.insert(rng.randint(0, len(members)), ('"matches"', dump(value)))
+    if variant == "broken":
+        members.append(('"after"', rng.choice(["[1,]", "tru", '{"a" 1}', "'x'"])))
+    item, colon = separators
+    text = "{" + item.join(key + colon + value for key, value in members) + "}"
+    text = rng.choice(["", " ", "\n\t"]) + text + rng.choice(["", "\n", " \r\n"])
+    if variant == "trailing":
+        text += rng.choice([" x", "{}", "]", "\n0", ","])
+    elif variant == "bom":
+        text = "\ufeff" + text
+    elif variant == "not-object":
+        text = dump(rng.choice([docs, "matches", 3, None, True, [{"matches": docs}]]))
+    return text
 
 
 def assert_same_as_reference(path, fmt):
