@@ -407,9 +407,6 @@ def align_components(
         raise ValueError(f"rank mismatch: {est.rank} != {truth.rank}")
     if est.dims != truth.dims:
         raise ValueError(f"dims mismatch: {est.dims} != {truth.dims}")
-    # imported on use: loading scipy costs every CLI launch a third of a second
-    from scipy.optimize import linear_sum_assignment
-
     r = est.rank
     score = np.ones((r, r))
     for e_mat, t_mat in zip(est.factors, truth.factors):
@@ -419,11 +416,49 @@ def align_components(
         cos = np.zeros((r, r))
         np.divide(e_mat.T @ t_mat, denom, out=cos, where=denom > 0)
         score *= cos
-    est_idx, truth_idx = linear_sum_assignment(-score)
-    perm = np.empty(r, dtype=int)
-    perm[truth_idx] = est_idx
+    if not np.isfinite(score).all():
+        raise ValueError("component congruences must be finite")
+    perm = _max_assignment(score.T)
     scores = tuple(float(score[perm[j], j]) for j in range(r))
     return tuple(int(p) for p in perm), scores
+
+
+def _max_assignment(score: np.ndarray) -> np.ndarray:
+    """Column assigned to each row of a square matrix, so that the assigned
+    entries have the largest sum (the Hungarian method with potentials,
+    O(n^3))."""
+    n = score.shape[0]
+    cost = -score
+    u = np.zeros(n + 1)  # row potentials, 1-based
+    v = np.zeros(n + 1)  # column potentials, 1-based
+    row_of = np.zeros(n + 1, dtype=int)  # row_of[j]: row matched to column j, 0 if none
+    for i in range(1, n + 1):
+        # grow an alternating tree from row i until it reaches a free column
+        row_of[0], j0 = i, 0
+        slack = np.full(n + 1, np.inf)
+        via = np.zeros(n + 1, dtype=int)
+        used = np.zeros(n + 1, dtype=bool)
+        while row_of[j0] != 0:
+            used[j0] = True
+            i0 = row_of[j0]
+            free = ~used[1:]
+            reduced = cost[i0 - 1] - u[i0] - v[1:]
+            better = free & (reduced < slack[1:])
+            slack[1:][better] = reduced[better]
+            via[1:][better] = j0
+            j1 = 1 + int(np.argmin(np.where(free, slack[1:], np.inf)))
+            delta = slack[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            j0 = j1
+        while j0:  # flip the path back to row i
+            j1 = via[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    col_of = np.empty(n, dtype=int)
+    col_of[row_of[1:] - 1] = np.arange(n)
+    return col_of
 
 
 def permute_components(model: FactorModel, perm) -> FactorModel:

@@ -8,6 +8,8 @@ pairwise Welch tests); ``analyze`` fits one rank and runs all of them.
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -31,9 +33,21 @@ _KMEANS_TOL = 1e-6
 # Empty-cluster re-seeds allowed per run before the run is discarded.
 _RESEED_BUDGET = 10
 
-# KDE evaluation grid: points, and the bandwidths it extends past the data.
+# Rows of the block-by-all-points distance matrix ``silhouette`` holds at once.
+_SILHOUETTE_BLOCK = 128
+
+# KDE evaluation grid: points, and the bandwidths it extends past the data;
+# ``kde_gaussian`` evaluates it a few rows at a time (rows x samples floats).
 _KDE_GRID_POINTS = 256
 _KDE_PAD = 4.0
+_KDE_BLOCK_ROWS = 8
+
+# Student-t tail: below this size the lgamma difference in log B(a, b) is
+# taken directly, above it from Stirling's series; and the cap on continued
+# fraction terms (at most 64 were needed for df from 1 to 1e9 and |t| from
+# 1e-4 to 60).
+_STIRLING_FROM = 20.0
+_BETA_CF_MAX_TERMS = 1_000
 
 
 def _as_labels(labels: np.ndarray, n: int, per: str) -> np.ndarray:
@@ -259,22 +273,30 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarra
     """Standard Euclidean silhouette: overall mean and per-sample values.
 
     Singleton clusters score 0 by convention.  Requires at least two
-    non-empty clusters.
+    non-empty clusters.  Distances are taken from a block of rows to every
+    point, summing squared coordinate differences, so memory is linear in
+    the points and no difference of squared norms cancels.
     """
     points = as_matrix(points)
     labels = _as_labels(labels, points.shape[0], "point")
-    clusters = np.unique(labels)
+    clusters, own, counts = np.unique(labels, return_inverse=True, return_counts=True)
     if clusters.size < 2:
         raise ValueError("silhouette requires at least two clusters")
 
-    gram = points @ points.T
-    sq = np.diag(gram)
-    d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2 * gram, 0.0))
-
     n = points.shape[0]
-    sums = np.stack([d[:, labels == c].sum(axis=1) for c in clusters], axis=1)
-    counts = np.array([(labels == c).sum() for c in clusters])
-    own = np.searchsorted(clusters, labels)
+    members = [own == c for c in range(clusters.size)]
+    coords = np.ascontiguousarray(points.T)
+    sums = np.empty((n, clusters.size))
+    for start in range(0, n, _SILHOUETTE_BLOCK):
+        rows = slice(start, min(start + _SILHOUETTE_BLOCK, n))
+        d = np.zeros((rows.stop - start, n))
+        diff = np.empty_like(d)
+        for x in coords:
+            np.subtract(x[rows, None], x, out=diff)
+            d += np.square(diff, out=diff)
+        np.sqrt(d, out=d)
+        for c, mask in enumerate(members):
+            sums[rows, c] = d[:, mask].sum(axis=1)
 
     a = np.zeros(n)
     multi = counts[own] > 1
@@ -411,9 +433,102 @@ def kde_gaussian(
     h = silverman_bandwidth(v) if bandwidth is None else float(bandwidth)
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    z = (grid[:, None] - v[None, :]) / h
-    dens = np.exp(-0.5 * z**2).sum(axis=1) / (v.size * h * np.sqrt(2.0 * np.pi))
-    return dens
+    # each grid row sums over every sample, so blocking rows keeps the bytes
+    sums = np.empty(grid.size)
+    for start in range(0, grid.size, _KDE_BLOCK_ROWS):
+        rows = slice(start, start + _KDE_BLOCK_ROWS)
+        z = (grid[rows, None] - v[None, :]) / h
+        sums[rows] = np.exp(-0.5 * z**2).sum(axis=1)
+    return sums / (v.size * h * np.sqrt(2.0 * np.pi))
+
+
+def _log_beta(a: float, b: float) -> float:
+    """``log B(a, b)``.
+
+    For a large argument ``lgamma`` is exact only to about an ulp of
+    ``a log a`` (6e-11 absolute at 5e4), so ``lgamma(big) - lgamma(big +
+    small)`` comes from Stirling's series, where its large terms cancel in
+    closed form.
+    """
+    small, big = min(a, b), max(a, b)
+    if big < _STIRLING_FROM:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    def tail(z: float) -> float:  # lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2)
+        w = 1.0 / (z * z)
+        return (1.0 / 12 - w * (1.0 / 360 - w * (1.0 / 1260 - w / 1680))) / z
+
+    big_minus_sum = (
+        small
+        - small * math.log(big)
+        - (big + small - 0.5) * math.log1p(small / big)
+        + tail(big)
+        - tail(big + small)
+    )
+    return math.lgamma(small) + big_minus_sum
+
+
+def _log_of(x: float, one_minus_x: float) -> float:
+    """``log x``, through ``log1p`` where ``x`` is near 1."""
+    return math.log(x) if x < 0.5 else math.log1p(-one_minus_x)
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta ``I_x(a, b)``, with ``y = 1 - x`` given
+    apart so that neither is taken by a subtraction.
+
+    Below ``x = (a + 1) / (a + b + 2)`` this is the even contraction of the
+    classic continued fraction (Numerical Recipes' ``betacf``), evaluated by
+    the modified Lentz method; above it, ``I_x(a, b) = 1 - I_y(b, a)``.
+    """
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _incomplete_beta(b, a, y, x)
+    if x == 0.0:
+        return 0.0
+
+    def one_plus_odd(m: int) -> float:
+        # 1 - (a+m)(a+b+m) x / ((a+2m)(a+2m+1)), which nears 0 for a large a
+        # at x near the switch; for b < 1 the numerator's y form adds only
+        # positive terms
+        den = (a + 2 * m) * (a + 2 * m + 1)
+        if b < 1.0:
+            return (m * (3 * m + 2 - b) + a * (2 * m + 1 - b) + (a + m) * (a + b + m) * y) / den
+        return 1.0 - (a + m) * (a + b + m) * x / den
+
+    def even(m: int) -> float:
+        return m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+
+    tiny = sys.float_info.min / sys.float_info.epsilon
+    odd = one_plus_odd(0)
+    h = c = odd if abs(odd) >= tiny else tiny
+    d = 0.0
+    for m in range(1, _BETA_CF_MAX_TERMS + 1):
+        e = even(m)
+        alpha = (1.0 - odd) * e
+        odd = one_plus_odd(m)
+        beta = odd + e
+        d = beta + alpha * d
+        d = 1.0 / (d if abs(d) >= tiny else tiny)
+        c = beta + alpha / c
+        c = c if abs(c) >= tiny else tiny
+        h *= c * d
+        if abs(c * d - 1.0) <= sys.float_info.epsilon:
+            break
+    else:
+        raise ArithmeticError(f"incomplete beta ({a}, {b}, {x}) did not converge")
+    log_front = a * _log_of(x, y) + b * _log_of(y, x) - _log_beta(a, b)
+    return math.exp(log_front - math.log(a * h))
+
+
+def _t_two_tail(t: float, df: float) -> float:
+    """``P(|T| >= |t|)`` for Student's t with ``df`` degrees of freedom:
+    ``I_x(df / 2, 1 / 2)`` at ``x = df / (df + t^2)``."""
+    t2 = t * t
+    if math.isnan(t2 + df):  # a sample holding NaN
+        return math.nan
+    if math.isinf(t2):
+        return 0.0
+    return _incomplete_beta(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
 
 
 def welch_t_test(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -423,9 +538,6 @@ def welch_t_test(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     zero pooled variance return ``(0, 1)`` when the means agree and
     ``(+/-inf, 0)`` with a warning otherwise.
     """
-    # imported on use: loading scipy costs every CLI launch a third of a second
-    from scipy.special import stdtr
-
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if x.size < 2 or y.size < 2:
@@ -441,8 +553,7 @@ def welch_t_test(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         return float(np.copysign(np.inf, mx - my)), 0.0
     t = (mx - my) / np.sqrt(se2)
     df = se2**2 / ((vx / nx) ** 2 / (nx - 1) + (vy / ny) ** 2 / (ny - 1))
-    p = 2.0 * float(stdtr(df, -abs(t)))
-    return float(t), p
+    return float(t), _t_two_tail(float(t), float(df))
 
 
 # ---------------------------------------------------------------------------

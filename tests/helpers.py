@@ -8,6 +8,7 @@ with the implementation it checks.
 import csv
 import json
 import math
+import tracemalloc
 from collections import namedtuple
 from itertools import product, repeat
 
@@ -108,6 +109,39 @@ def welch_p_by_quadrature(x, y) -> tuple[float, float]:
     t = (x.mean() - y.mean()) / math.sqrt(se2)
     df = se2**2 / ((vx / nx) ** 2 / (nx - 1) + (vy / ny) ** 2 / (ny - 1))
     return t, 2.0 * student_t_sf_by_quadrature(abs(t), df)
+
+
+def silhouette_by_pairs(points, labels) -> np.ndarray:
+    """Per-sample silhouette with each pair's distance taken directly from
+    its coordinate differences, one point at a time."""
+    points = np.asarray(points, float)
+    labels = np.asarray(labels)
+    s = np.zeros(len(points))
+    for i, p in enumerate(points):
+        d = np.sqrt(((points - p) ** 2).sum(axis=1))
+        own = labels == labels[i]
+        if own.sum() == 1:
+            continue  # singleton convention
+        a = d[own].sum() / (own.sum() - 1)
+        b = min(d[labels == c].mean() for c in set(labels.tolist()) - {labels[i]})
+        s[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+    return s
+
+
+def kde_by_full_matrix(values, grid, bandwidth) -> np.ndarray:
+    """Gaussian KDE from the whole grid x samples matrix at once."""
+    z = (grid[:, None] - values[None, :]) / bandwidth
+    return np.exp(-0.5 * z**2).sum(axis=1) / (values.size * bandwidth * np.sqrt(2.0 * np.pi))
+
+
+def traced_peak(call):
+    """The peak of memory traced by ``tracemalloc`` while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def best_split_1d(values: np.ndarray) -> np.ndarray:

@@ -66,20 +66,49 @@ def synth_and_ingest(tmp_path, spec=None, seed=None):
     return out
 
 
+def loaded_scipy_modules(code, *args):
+    """Run ``code`` in a fresh interpreter (its argv after ``args``) and
+    return the scipy modules loaded when it ends."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(matchfactor.__file__).parents[1]), env.get("PYTHONPATH")) if p
+    )
+    probe = code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *map(str, args)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip().splitlines()[-1]
+
+
 class TestStartup:
     def test_import_leaves_scipy_unloaded(self):
-        # scipy is imported only by the functions that use it, so a stage
-        # that never calls them does not pay for loading it at startup
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(Path(matchfactor.__file__).parents[1]), env.get("PYTHONPATH")) if p
+        assert loaded_scipy_modules("import sys, matchfactor.cli") == "[]"
+
+    def test_no_stage_loads_scipy(self, tmp_path):
+        # numpy is the only runtime dependency: the Welch tail, the component
+        # assignment and the silhouette use numpy and math alone
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SMALL_SPEC))
+        out = tmp_path / "out"
+        stages = [
+            ["synth", "--spec", str(spec), "--out-dir", str(out)],
+            ["ingest", "--input", str(out / "synthetic.csv"), "--matches", "24", "--out-dir", str(out)],
+            ["analyze", "--input", str(out / "tensor.json"), "--rank", "3", "--restarts", "2", "--out-dir", str(out)],
+        ]
+        code = (
+            "import json, sys\n"
+            "from matchfactor.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv"
         )
-        probe = "import sys, matchfactor.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert loaded_scipy_modules(code, json.dumps(stages)) == "[]"
+        tests = json.loads((out / "win_rate_tests.json").read_text())
+        assert tests["pairwise"]  # the Welch tests ran
 
 
 class TestIngest:

@@ -4,7 +4,6 @@ import json
 import os
 import random
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,7 @@ from matchfactor import (
 )
 from matchfactor.synthetic import SyntheticSpec, generate_synthetic
 
-from helpers import ingest_by_records, write_csv_by_values
+from helpers import ingest_by_records, traced_peak, write_csv_by_values
 
 CSV_FIXTURE = """player_id,match_index,assists,deaths,kills,gold,winner,arena_id
 alice,0,3,1,5,9000,1,11
@@ -475,16 +474,6 @@ def riot_export(n_players, n_matches, seed=0):
             )
     rng.shuffle(matches)
     return json.dumps({"matches": matches})
-
-
-def traced_peak(call):
-    """The peak of memory traced by ``tracemalloc`` while ``call()`` runs."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestRiotMemory:

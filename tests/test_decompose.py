@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from matchfactor import (
     save_factor_model,
     select_best_model,
 )
+
+from matchfactor.decompose import _max_assignment
 
 from helpers import kruskal_by_loops
 
@@ -282,6 +285,24 @@ class TestAlignment:
         )
         _, scores = align_components(noisy, as_factor_model(users, feats, time))
         assert min(scores) >= 0.99
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_assignment_matches_brute_force(self, r):
+        rng = np.random.default_rng(20 + r)
+        for _ in range(20):
+            score = rng.standard_normal((r, r)).round(1)  # rounded, so with ties
+            cols = _max_assignment(score)
+            assert sorted(cols.tolist()) == list(range(r))
+            best = max(sum(score[i, p[i]] for i in range(r)) for p in permutations(range(r)))
+            assert score[np.arange(r), cols].sum() == pytest.approx(best, abs=1e-12)
+
+    def test_non_finite_congruence_rejected(self):
+        _, truth = planted_tensor(rank=2, seed=1)
+        # norms and inner products overflow, and the cosines are inf / inf
+        huge = tuple(1e200 * f for f in truth.factors)
+        broken = dataclasses.replace(truth, factors=huge)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            align_components(broken, broken)
 
     def test_rank_mismatch(self):
         _, m3 = planted_tensor(rank=3, seed=1)

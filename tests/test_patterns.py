@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from scipy.special import stdtr
 
 from matchfactor import (
     ConstantColumn,
@@ -21,9 +24,14 @@ from matchfactor import (
     win_rate_stats,
 )
 
+from matchfactor.patterns import _t_two_tail
+
 from helpers import (
     adjusted_rand_index,
     best_split_1d,
+    kde_by_full_matrix,
+    silhouette_by_pairs,
+    traced_peak,
     welch_p_by_quadrature,
 )
 
@@ -187,6 +195,28 @@ class TestSilhouette:
             per_sample, sklearn_metrics.silhouette_samples(points, labels), atol=1e-10
         )
 
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_matches_pairwise_oracle(self, offset):
+        # 300 points span three row blocks, the last one partial; far from
+        # the origin, a difference of squared norms would cancel to 1e-8
+        rng = np.random.default_rng(30)
+        points = offset + rng.random((300, 3))
+        labels = rng.integers(0, 4, size=300)
+        labels[17] = 4  # a singleton
+        overall, per_sample = silhouette(points, labels)
+        expect = silhouette_by_pairs(points, labels)
+        np.testing.assert_allclose(per_sample, expect, rtol=0, atol=1e-12)
+        assert overall == pytest.approx(expect.mean(), abs=1e-12)
+
+    def test_memory_linear_in_points(self):
+        # the Gram form's traced peak was three n x n float64 arrays (384 MB)
+        n = 4000
+        rng = np.random.default_rng(31)
+        points = rng.random((n, 3))
+        labels = rng.integers(0, 5, size=n)
+        peak = traced_peak(lambda: silhouette(points, labels))
+        assert peak <= 0.25 * 3 * n * n * 8, peak
+
 
 class TestIntraComponentMembership:
     def test_separated_values(self):
@@ -344,6 +374,18 @@ class TestKde:
         integral = float(np.sum((dens[1:] + dens[:-1]) / 2 * np.diff(grid)))
         assert abs(integral - 1.0) <= 1e-3
 
+    def test_raw_mode_blocked_memory_and_bytes(self):
+        # raw mode estimates the density of every match outcome of a cluster
+        rng = np.random.default_rng(32)
+        outcomes = rng.integers(0, 2, size=10_000).astype(float)
+        h = silverman_bandwidth(outcomes)
+        grid = kde_grid(outcomes, h)
+        dens = kde_gaussian(outcomes, grid, bandwidth=h)
+        assert dens.tobytes() == kde_by_full_matrix(outcomes, grid, h).tobytes()
+        blocked = traced_peak(lambda: kde_gaussian(outcomes, grid, bandwidth=h))
+        whole = traced_peak(lambda: kde_by_full_matrix(outcomes, grid, h))
+        assert blocked <= 0.25 * whole, (blocked, whole)
+
     def test_zero_variance_without_bandwidth(self):
         with pytest.raises(ConstantColumn):
             silverman_bandwidth(np.full(10, 3.0))
@@ -398,6 +440,23 @@ class TestWelch:
     def test_small_samples_rejected(self):
         with pytest.raises(ValueError, match="at least two"):
             welch_t_test([1.0], [1.0, 2.0])
+
+    def test_t_tail_matches_scipy(self):
+        rng = np.random.default_rng(33)
+        df = 10 ** rng.uniform(0, 5, size=4000)
+        t = 10 ** rng.uniform(-4, np.log10(60), size=4000)
+        # large df with tiny t (p near 1), and t near the continued
+        # fraction's switch at t^2 = 3
+        corners = [(d, u) for d in (1.0, 3e4, 7e4, 1e5) for u in (1e-4, 1e-3, 1.73, 1.74, 60.0)]
+        df = np.concatenate([df, [d for d, _ in corners]])
+        t = np.concatenate([t, [u for _, u in corners]])
+        got = np.array([_t_two_tail(float(u), float(d)) for u, d in zip(t, df)])
+        np.testing.assert_allclose(got, 2 * stdtr(df, -t), rtol=1e-12, atol=sys.float_info.min)
+
+    def test_t_tail_edges(self):
+        assert _t_two_tail(0.0, 5.0) == 1.0
+        assert _t_two_tail(-np.inf, 5.0) == 0.0
+        assert np.isnan(_t_two_tail(np.nan, 5.0))
 
 
 class TestWinRateStats:
