@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 import typing
 from pathlib import Path
@@ -31,8 +30,6 @@ from .errors import MatchFactorError
 from .patterns import analyze
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tensor import _read_json, _write_json, load_tensor3, save_tensor3
-
-_OUT_DIR_ENV = "MATCHFACTOR_OUT_DIR"
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -84,11 +81,11 @@ def _warn(records=(), others=()) -> list[str]:
 
 
 def _parse_ranks(text: str) -> range:
-    lo, sep, hi = text.partition(":") if ":" in text else text.partition("-")
+    lo, sep, hi = text.partition(":")
     try:
         return range(int(lo), int(hi if sep else lo) + 1)
     except ValueError:
-        message = f"--ranks must be R, LO:HI or LO-HI with integer bounds, got {text!r}"
+        message = f"--ranks must be R or LO:HI with integer bounds, got {text!r}"
         raise ValueError(message) from None
 
 
@@ -408,17 +405,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    default_out = os.environ.get(_OUT_DIR_ENV, "matchfactor-out")
+    fit_defaults = DecomposeConfig()
 
     def add_common(p):
-        p.add_argument("--out-dir", default=default_out, help="artifact directory")
+        p.add_argument("--out-dir", default="matchfactor-out", help="artifact directory")
 
     def add_fit(p):
         p.add_argument("--input", required=True, help="tensor container path")
-        p.add_argument("--restarts", type=int, default=5)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--max-iters", type=int, default=500)
+        p.add_argument("--restarts", type=int, default=fit_defaults.n_restarts)
+        p.add_argument("--seed", type=int, default=fit_defaults.seed)
+        p.add_argument("--tol", type=float, default=fit_defaults.rel_tol)
+        p.add_argument("--max-iters", type=int, default=fit_defaults.max_outer_iters)
         p.add_argument("--threads", type=int, default=1, help="ignored; kept for compatibility")
         add_common(p)
 
@@ -438,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_scan = sub.add_parser("rank-scan", help="core-consistency curve over ranks")
-    p_scan.add_argument("--ranks", default="1:10", help="inclusive range, e.g. 1:10")
+    p_scan.add_argument("--ranks", default="1:10", help="R or an inclusive range LO:HI, e.g. 1:10")
     add_fit(p_scan)
     p_scan.set_defaults(func=cmd_rank_scan)
 

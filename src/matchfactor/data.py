@@ -37,10 +37,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import json
 import logging
-import math
 import re
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -75,6 +73,9 @@ _CHUNK = 8192
 _decode = json.JSONDecoder().raw_decode
 _space = re.compile(r"[ \t\n\r]*").match
 
+# a byte that is not UTF-8, as the ``surrogateescape`` error handler decodes it
+_escaped_byte = re.compile(r"[\udc80-\udcff]").search
+
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -99,10 +100,6 @@ class Dataset:
     @property
     def n_matches(self) -> int:
         return self.counts.shape[2]
-
-    def feature_counts(self) -> np.ndarray:
-        """Raw count tensor of shape (players, 4, matches), as a copy."""
-        return self.counts.copy()
 
     def winner_matrix(self) -> np.ndarray:
         """Binary win/loss matrix of shape (players, matches)."""
@@ -247,31 +244,11 @@ def _lines(path, newline=None):
     """The lines of a UTF-8 text file, split as ``open(path, newline=...)``
     splits them.  An undecodable line raises ``MalformedRecord`` with its
     number, after the lines before it."""
-    done = 0
-    try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
-            for line in fh:
-                yield line
-                done += 1
-    except UnicodeDecodeError:
-        yield from _lines_up_to_undecodable(path, newline, skip=done)
-
-
-def _lines_up_to_undecodable(path, newline, skip):
-    """The error path of ``_lines``: read the file again, in binary, yield
-    its lines after the first ``skip`` until the first undecodable one, and
-    raise ``MalformedRecord`` with that line's number."""
-    with open(path, "rb") as fh:
-        # undecodable bytes become lone surrogates, which cannot be encoded
-        text = fh.read().decode("utf-8", "surrogateescape")
-    for line_no, line in enumerate(io.StringIO(text, newline=newline), start=1):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError:
-            raise MalformedRecord("invalid UTF-8", line_no) from None
-        if line_no > skip:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii() and _escaped_byte(line):
+                raise MalformedRecord("invalid UTF-8", line_no)
             yield line
-    raise MalformedRecord("invalid UTF-8")  # the file changed since it failed to decode
 
 
 def _csv_rows(path):
@@ -333,12 +310,11 @@ def _riot_seats(path) -> list:
     ``json.loads``.  A document the walk does not take is parsed again with
     ``json.loads``, on that path only, for its exact error.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except UnicodeDecodeError:
-        # skips every line, so it raises at the first undecodable one
-        next(_lines_up_to_undecodable(path, None, skip=math.inf))
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    bad = None if text.isascii() else _escaped_byte(text)
+    if bad:  # the text is newline-translated, so each line ends in one "\n"
+        raise MalformedRecord("invalid UTF-8", text.count("\n", 0, bad.start()) + 1)
     try:
         seats, error = _walk_riot_document(text)
     except (ValueError, RecursionError):  # JSONDecodeError, or not one JSON object
@@ -535,7 +511,6 @@ class NormalizedTensor:
     constant_mask: np.ndarray
     per_player: bool
     player_ids: tuple[str, ...]
-    feature_names: tuple[str, ...] = FEATURES
 
 
 def normalize_minmax(dataset: Dataset, per_player: bool = False) -> NormalizedTensor:

@@ -489,7 +489,6 @@ def _matrix_from_doc(doc: dict) -> np.ndarray:
 def model_to_doc(
     model: FactorModel,
     core_consistency_value: float | None = None,
-    config: dict | None = None,
 ) -> dict:
     doc = {
         "format": _MODEL_FORMAT,
@@ -508,8 +507,6 @@ def model_to_doc(
     }
     if core_consistency_value is not None:
         doc["core_consistency"] = core_consistency_value
-    if config is not None:
-        doc["config"] = config
     return doc
 
 
@@ -529,8 +526,8 @@ def model_from_doc(doc: dict) -> FactorModel:
     )
 
 
-def save_factor_model(path, model: FactorModel, **doc_kwargs) -> None:
-    _write_json(path, model_to_doc(model, **doc_kwargs))
+def save_factor_model(path, model: FactorModel, core_consistency_value: float) -> None:
+    _write_json(path, model_to_doc(model, core_consistency_value))
 
 
 def load_factor_model(path) -> FactorModel:

@@ -26,8 +26,9 @@ from .decompose import (
 from .errors import ConstantColumn, EmptyClusterUnrecoverable
 from .tensor import as_matrix, as_tensor3
 
-# Lloyd iterations per k-means run, and the relative inertia change that ends
-# a run early.
+# k-means++ initializations per k-means call; Lloyd iterations per run, and
+# the relative inertia change that ends a run early.
+_KMEANS_N_INIT = 10
 _KMEANS_MAX_ITER = 300
 _KMEANS_TOL = 1e-6
 # Empty-cluster re-seeds allowed per run before the run is discarded.
@@ -226,10 +227,9 @@ def _lloyd(points: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.nd
 def kmeans(
     points: np.ndarray,
     k: int,
-    n_init: int = 10,
     seed: int = 0,
 ) -> ClusterAssignment:
-    """Lloyd's algorithm with k-means++ seeding, best of ``n_init`` runs.
+    """Lloyd's algorithm with k-means++ seeding, best of 10 runs.
 
     Deterministic for a given seed.  Empty clusters are re-seeded from the
     farthest point; a run that cannot recover is discarded, and
@@ -237,12 +237,10 @@ def kmeans(
     """
     points = as_matrix(points)
     _check_k(k, points.shape[0])
-    if n_init < 1:
-        raise ValueError("n_init must be >= 1")
 
     rng = np.random.default_rng(seed)
     best: tuple[np.ndarray, np.ndarray, float] | None = None
-    for _ in range(n_init):
+    for _ in range(_KMEANS_N_INIT):
         centroids = _kmeans_pp_init(points, k, rng)
         try:
             labels, centroids, inertia = _lloyd(points, centroids)
@@ -252,7 +250,7 @@ def kmeans(
             best = (labels, centroids, inertia)
     if best is None:
         raise EmptyClusterUnrecoverable(
-            f"all {n_init} initializations failed to keep {k} clusters populated"
+            f"all {_KMEANS_N_INIT} initializations failed to keep {k} clusters populated"
         )
 
     labels, centroids, inertia = best
@@ -328,7 +326,7 @@ def intra_component_membership(
     col = a[:, component]
     if float(col.max() - col.min()) == 0.0:
         raise ConstantColumn(f"component {component} has a constant membership column")
-    assign = kmeans(col.reshape(-1, 1), k=2, n_init=10, seed=seed)
+    assign = kmeans(col.reshape(-1, 1), k=2, seed=seed)
     high = int(np.argmax(assign.centroids[:, 0]))
     return (assign.labels == high).astype(int)
 
@@ -419,18 +417,16 @@ def kde_grid(values: np.ndarray, bandwidth: float) -> np.ndarray:
 
 
 def kde_gaussian(
-    values: np.ndarray, grid: np.ndarray, bandwidth: float | None = None
+    values: np.ndarray, grid: np.ndarray, bandwidth: float
 ) -> np.ndarray:
     """Gaussian kernel density estimate evaluated on ``grid``.
 
-    Bandwidth defaults to Silverman's rule.  The result is non-negative and
-    integrates to ~1 when the grid covers the data range plus ~4 bandwidths.
+    The result is non-negative and integrates to ~1 when the grid covers the
+    data range plus ~4 bandwidths.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     grid = np.asarray(grid, dtype=np.float64).ravel()
-    if v.size < 2 and bandwidth is None:
-        raise ValueError("need at least two values or an explicit bandwidth")
-    h = silverman_bandwidth(v) if bandwidth is None else float(bandwidth)
+    h = float(bandwidth)
     if h <= 0:
         raise ValueError("bandwidth must be positive")
     # each grid row sums over every sample, so blocking rows keeps the bytes

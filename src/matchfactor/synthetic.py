@@ -83,7 +83,6 @@ class SyntheticResult:
     dataset: Dataset
     truth: FactorModel
     labels: np.ndarray
-    planted_factors: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _default_signatures(rank: int, n_features: int) -> tuple[tuple[int, ...], ...]:
@@ -227,5 +226,4 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
         dataset=dataset,
         truth=truth,
         labels=labels,
-        planted_factors=(users, features, time),
     )

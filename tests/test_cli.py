@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 
 import matchfactor
 from matchfactor import kruskal_tensor, load_tensor3, planted_factors, save_tensor3
-from matchfactor.cli import main
+from matchfactor.cli import build_parser, main
 
 from test_data import RIOT_SHAPES, csv_to_jsonl, csv_to_riot_json, riot_fixture_with, with_bad_line
 from test_decompose import fail_seeds
@@ -109,6 +110,39 @@ class TestStartup:
         assert loaded_scipy_modules(code, json.dumps(stages)) == "[]"
         tests = json.loads((out / "win_rate_tests.json").read_text())
         assert tests["pairwise"]  # the Welch tests ran
+
+
+def option_strings(parser) -> set[str]:
+    return {s for action in parser._actions for s in action.option_strings}
+
+
+class TestSettableSurface:
+    """Every option the CLI accepts; a new one must change this test."""
+
+    FIT = {"--input", "--restarts", "--seed", "--tol", "--max-iters", "--threads", "--out-dir"}
+    OPTIONS = {
+        "ingest": {"--input", "--format", "--arena-id", "--matches", "--per-player", "--out-dir"},
+        "rank-scan": {"--ranks", *FIT},
+        "analyze": {"--rank", "--k", "--membership-fraction", "--kde-mode", *FIT},
+        "synth": {"--spec", "--seed", "--out-dir"},
+    }
+
+    def test_options_of_each_subcommand(self):
+        parser = build_parser()
+        [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert option_strings(parser) == {"-h", "--help", "--version"}
+        help_flags = {"-h", "--help"}
+        got = {name: option_strings(sub) - help_flags for name, sub in commands.choices.items()}
+        assert got == self.OPTIONS
+
+    def test_out_dir_default_ignores_the_environment(self, tmp_path, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SMALL_SPEC))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("MATCHFACTOR_OUT_DIR", str(tmp_path / "from-env"))
+        assert run("synth", "--spec", spec) == 0
+        assert (tmp_path / "matchfactor-out" / "synthetic.csv").exists()
+        assert not (tmp_path / "from-env").exists()
 
 
 class TestIngest:
@@ -535,6 +569,35 @@ class TestAnalyze:
         ks = {entry["k"] for entry in clusters["silhouette_sweep"]}
         assert ks  # at least some neighbor k values succeeded
 
+    def test_sweep_k_that_cannot_populate_warns(self, tmp_path, capsys):
+        # two distinct player rows give two distinct user factor rows, so the
+        # sweep's k=3 and k=4 leave a cluster empty whatever the re-seeds do
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(0.1, 1.0, size=(2, 4, 10))
+        path = tmp_path / "t.json"
+        save_tensor3(path, rows[np.repeat([0, 1], 6)])
+        warnings = [
+            "k=1 outside the valid range [2, 12]; skipped",
+            *(
+                f"k={k} clustering failed: EmptyClusterUnrecoverable: "
+                f"all 10 initializations failed to keep {k} clusters populated"
+                for k in (3, 4)
+            ),
+        ]
+        t, _ = load_tensor3(path)
+        report = matchfactor.analyze(t, 2, matchfactor.DecomposeConfig(n_restarts=2))
+        assert report.sweep_warnings == tuple(warnings)
+        assert report.sweep == ()
+        out = tmp_path / "o"
+        assert run("analyze", "--input", path, "--rank", 2, "--restarts", 2, "--out-dir", out) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("warning: k=")] == [
+            f"warning: {w}" for w in warnings
+        ]
+        summary = json.loads((out / "analyze_summary.json").read_text())
+        assert summary["warnings"] == warnings
+        assert summary["cluster_sizes"] == [6, 6]
+
 
 class TestMalformedInputs:
     """Malformed inputs end as "error: ..." with exit code 1, not as a traceback."""
@@ -626,9 +689,10 @@ class TestMalformedInputs:
         [
             ("1:1000000000000", "rank must be in [1, 40], got 41"),
             ("-1000000000000:3", "rank must be in [1, 40], got -1000000000000"),
+            ("-2", "rank must be in [1, 40], got -2"),
             *(
-                (ranks, f"--ranks must be R, LO:HI or LO-HI with integer bounds, got {ranks!r}")
-                for ranks in ["x", "-2", "1:"]
+                (ranks, f"--ranks must be R or LO:HI with integer bounds, got {ranks!r}")
+                for ranks in ["x", "1:", "2-3"]
             ),
         ],
     )

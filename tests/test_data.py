@@ -257,7 +257,7 @@ class TestNormalize:
         ds = self.make_dataset()
         normalized = normalize_minmax(ds)
         np.testing.assert_allclose(
-            denormalize(normalized), ds.feature_counts(), atol=1e-9
+            denormalize(normalized), ds.counts, atol=1e-9
         )
 
     def test_per_player_mode(self):
@@ -266,7 +266,7 @@ class TestNormalize:
         assert normalized.per_player
         assert normalized.feature_min.shape == (2, 4)
         np.testing.assert_allclose(
-            denormalize(normalized), ds.feature_counts(), atol=1e-9
+            denormalize(normalized), ds.counts, atol=1e-9
         )
 
     def test_player_order_permutes_slices(self):
@@ -415,6 +415,18 @@ class TestRiotShapes:
             ('{"matches": ["x"], "matches": 5}', "^riot-match-json file must hold a 'matches' list$"),
             ('{"matches": ["x"], "matches": [7]}', "^match 0: not an object$"),
             ('{"matches": [{"mapId": 11}, "x", 7]}', "^match 1: not an object$"),
+            ('{"matches": [] "x": 1}', r"^invalid JSON: Expecting ',' delimiter: line 1 column 16"),
+            (
+                '{"matches": [], 1: 2}',
+                "^invalid JSON: Expecting property name enclosed in double quotes: line 1 column 17",
+            ),
+            ('{"matches" []}', "^invalid JSON: Expecting ':' delimiter: line 1 column 12"),
+            # one character off the grammar, where the walk would otherwise go on
+            (
+                '{"matches": [], x": 1}',
+                "^invalid JSON: Expecting property name enclosed in double quotes: line 1 column 17",
+            ),
+            ('{"matches"x[]}', "^invalid JSON: Expecting ':' delimiter: line 1 column 11"),
         ],
     )
     def test_document_errors(self, tmp_path, text, message):

@@ -377,9 +377,7 @@ class TestSerialization:
         t, _ = planted_tensor(dims=(8, 4, 6), rank=2, seed=12)
         model = decompose(t, 2, FAST)
         path = tmp_path / "model.json"
-        save_factor_model(
-            path, model, core_consistency_value=98.5, config={"seed": 0}
-        )
+        save_factor_model(path, model, core_consistency_value=98.5)
         back = load_factor_model(path)
         assert back.rank == model.rank
         assert back.fit == model.fit

@@ -146,8 +146,10 @@ def runs(draw):
             hst.sampled_from([[], ["--per-player"]]),
         ]
     elif command == "rank-scan":
-        junk = ["3:1", "0:2", "39:41", "1:1000000000000", "-1000000000000:3", f"1:{10**30}"]
-        parts = [flag("--ranks", ["1", "2", "1:3", "2-3"], junk + CHEAP_JUNK), *fit_flags()]
+        junk = [
+            "3:1", "0:2", "39:41", "1:1000000000000", "-1000000000000:3", f"1:{10**30}", "2-3"
+        ]
+        parts = [flag("--ranks", ["1", "2", "1:3"], junk + CHEAP_JUNK), *fit_flags()]
     elif command == "analyze":
         parts = [
             flag("--rank", ["1", "2", "3"]),

@@ -205,6 +205,16 @@ class TestWarmStart:
         solve_nnls_bpp(prob, passive=passive)
         assert passive.all()
 
+    def test_exactly_singular_passive_system_falls_back_to_the_ridge(self):
+        # with both variables passive, the warm start's ridge-free solve is singular
+        prob = NnlsProblem(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 2.0], [1.0, 2.0]]))
+        sol = solve_nnls_bpp(prob, passive=np.ones((2, 2), dtype=bool))
+        assert sol.kkt_residual <= 1e-8
+        for col in range(prob.m):
+            x, expect = sol.x[:, col], nnls_by_enumeration(prob.gram, prob.rhs[:, col])
+            objective = [0.5 * v @ prob.gram @ v - prob.rhs[:, col] @ v for v in (x, expect)]
+            assert objective[0] == pytest.approx(objective[1], rel=0, abs=1e-12)
+
     def test_rejects_passive_shape_mismatch(self):
         prob = NnlsProblem(np.eye(2), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="passive shape"):
