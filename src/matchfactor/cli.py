@@ -5,9 +5,9 @@ run configuration and tool version, and is byte-identical across re-runs
 with the same inputs and seeds.  CSV artifacts start with one ``#`` comment
 line carrying the provenance echo.
 
-Each subcommand computes its artifacts and returns them; ``main`` writes
-them only after the stage has succeeded, so a failed stage leaves the
-output directory as it was.
+Each subcommand returns its artifacts and warnings; ``main``, the only code
+that prints, writes them only after the stage has succeeded, so a failed
+stage leaves the output directory as it was and prints no warning.
 """
 
 from __future__ import annotations
@@ -71,13 +71,9 @@ def _cells(*arrays: np.ndarray):
         yield [*idx, *(_fmt(a[idx]) for a in arrays)]
 
 
-def _warn(records=(), others=()) -> list[str]:
-    """A warning on stderr per failed restart of ``records``, then per ``others``."""
-    messages = [f"rank {r.rank} restart {r.restart} failed: {r.error}" for r in records if r.failed]
-    messages += others
-    for message in messages:
-        print(f"warning: {message}", file=sys.stderr)
-    return messages
+def _restart_failures(records) -> list[str]:
+    """A warning per failed restart of ``records``."""
+    return [f"rank {r.rank} restart {r.restart} failed: {r.error}" for r in records if r.failed]
 
 
 def _parse_ranks(text: str) -> range:
@@ -99,10 +95,10 @@ def _decompose_config(args: argparse.Namespace) -> DecomposeConfig:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (artifacts by file name, message)
+# subcommands: each returns (artifacts by file name, warnings, message)
 
 
-def cmd_ingest(args: argparse.Namespace) -> tuple[dict, str]:
+def cmd_ingest(args: argparse.Namespace) -> tuple[dict, list[str], str]:
     result = ingest(
         args.input, fmt=args.format, arena_id=args.arena_id, n_matches=args.matches
     )
@@ -134,13 +130,21 @@ def cmd_ingest(args: argparse.Namespace) -> tuple[dict, str]:
             },
         },
     }
+    warnings = []
+    if result.players_dropped:
+        warnings.append(f"dropped {result.players_dropped} players with incomplete histories")
+    if normalized.constant_mask.any():
+        warnings.append(f"constant features mapped to zeros: mask={metadata['constant_features']}")
     message = f"wrote {Path(args.out_dir) / 'tensor.json'} ({result.players_retained} players)"
-    return artifacts, message
+    return artifacts, warnings, message
 
 
-def cmd_rank_scan(args: argparse.Namespace) -> tuple[dict, str]:
+def cmd_rank_scan(args: argparse.Namespace) -> tuple[dict, list[str], str]:
     t, _ = load_tensor3(args.input)
     result = rank_scan(t, _parse_ranks(args.ranks), _decompose_config(args))
+    if all(rec.failed for rec in result.records):
+        first = result.records[0].error
+        raise MatchFactorError(f"no restart succeeded at any rank; first error: {first}")
     rows = [
         [
             rec.rank,
@@ -153,7 +157,7 @@ def cmd_rank_scan(args: argparse.Namespace) -> tuple[dict, str]:
         ]
         for rec in result.records
     ]
-    failures = _warn(result.records)
+    failures = _restart_failures(result.records)
     best = {
         str(rank): {
             "core_consistency": rec.core_consistency,
@@ -174,7 +178,7 @@ def cmd_rank_scan(args: argparse.Namespace) -> tuple[dict, str]:
             "failed_restarts": len(failures),
         },
     }
-    return artifacts, f"selected rank {result.selected_rank}: {result.rationale}"
+    return artifacts, failures, f"selected rank {result.selected_rank}: {result.rationale}"
 
 
 def _container_metadata(path, metadata: dict, shape) -> tuple[list, list, np.ndarray | None]:
@@ -232,7 +236,7 @@ def _clustering_doc(assign) -> dict:
     }
 
 
-def cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
+def cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], str]:
     t, metadata = load_tensor3(args.input)
     feature_names, player_ids, winner = _container_metadata(args.input, metadata, t.shape)
     rank = args.rank if args.rank is not None else _selected_rank(args.out_dir)
@@ -240,7 +244,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
         t, rank, _decompose_config(args), k=args.k, fraction=args.membership_fraction,
         winner=winner, kde_mode=args.kde_mode,
     )
-    warnings = _warn(report.records, report.sweep_warnings)
+    warnings = _restart_failures(report.records) + list(report.sweep_warnings)
     model, cc = report.best.model, report.best.core_consistency
     signature, clusters, stats = report.signature, report.clusters, report.win_rates
 
@@ -289,7 +293,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
         ),
     }
     if stats is None:
-        _warn(others=["tensor container has no winner metadata; win-rate stats skipped"])
+        warnings.append("tensor container has no winner metadata; win-rate stats skipped")
     else:
         artifacts["win_rate_kde.csv"] = (
             ["cluster", "win_rate", "density"],
@@ -317,7 +321,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, str]:
         f"analyzed rank {rank}: fit {model.fit:.6f}, core consistency {cc:.2f}, "
         f"clusters {clusters.cluster_sizes()}"
     )
-    return artifacts, message
+    return artifacts, warnings, message
 
 
 # a scalar SyntheticSpec field type: its JSON type in words, singular and
@@ -368,7 +372,7 @@ def _load_spec(path) -> SyntheticSpec:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def cmd_synth(args: argparse.Namespace) -> tuple[dict, str]:
+def cmd_synth(args: argparse.Namespace) -> tuple[dict, list[str], str]:
     spec = _load_spec(args.spec) if args.spec is not None else SyntheticSpec()
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -391,7 +395,7 @@ def cmd_synth(args: argparse.Namespace) -> tuple[dict, str]:
         },
     }
     message = f"wrote {Path(args.out_dir) / 'synthetic.csv'} ({spec.n_players} players)"
-    return artifacts, message
+    return artifacts, [], message
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +467,7 @@ def main(argv=None) -> int:
     try:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        artifacts, message = args.func(args)
+        artifacts, warnings, message = args.func(args)
         _write_artifacts(out, _config_echo(args), artifacts)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
@@ -474,6 +478,8 @@ def main(argv=None) -> int:
     except (MatchFactorError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     print(message)
     return 0
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import logging
 import re
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -49,8 +48,6 @@ import numpy as np
 
 from .errors import DuplicateKey, MalformedRecord, NoPlayersRetained
 from .tensor import _formatted_slices
-
-logger = logging.getLogger(__name__)
 
 FEATURES = ("assists", "deaths", "kills", "gold")
 
@@ -477,8 +474,6 @@ def ingest(
         raise NoPlayersRetained(
             f"no player has a complete 0..{n_matches - 1} history in arena {arena_id}"
         )
-    if dropped:
-        logger.warning("dropped %d players with incomplete histories", dropped)
 
     position = np.zeros(len(names), dtype=np.int64)
     position[retained] = np.arange(len(retained))
@@ -527,8 +522,6 @@ def normalize_minmax(dataset: Dataset, per_player: bool = False) -> NormalizedTe
     constant = maxs == mins
     tensor = np.where(constant, 0.0, (dataset.counts - mins) / np.where(constant, 1.0, maxs - mins))
     mins, maxs, constant = (a.squeeze(axis) for a in (mins, maxs, constant))
-    if constant.any():
-        logger.warning("constant features mapped to zeros: mask=%s", constant.tolist())
     return NormalizedTensor(
         tensor=tensor,
         feature_min=mins,

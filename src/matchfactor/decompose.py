@@ -74,6 +74,8 @@ class DecomposeConfig:
             raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import os
 import re
@@ -25,6 +26,20 @@ bob,0,8,3,1,7000,0,11
 bob,1,9,4,2,7500,1,11
 bob,2,7,2,3,8000,0,11
 """
+
+# carol's history is short and deaths is constant over alice and bob: at
+# --matches 2 ingest drops one player and flags one constant feature
+WARNED_CSV = """player_id,match_index,assists,deaths,kills,gold,winner,arena_id
+alice,0,3,1,5,9000,1,11
+alice,1,4,1,6,9500,0,11
+bob,0,8,1,1,7000,0,11
+bob,1,9,1,2,7500,1,11
+carol,0,2,4,2,6000,1,11
+"""
+INGEST_WARNINGS = [
+    "dropped 1 players with incomplete histories",
+    "constant features mapped to zeros: mask=[False, True, False, False]",
+]
 
 SMALL_SPEC = {
     "n_players": 36,
@@ -116,6 +131,38 @@ def option_strings(parser) -> set[str]:
     return {s for action in parser._actions for s in action.option_strings}
 
 
+def speaks(node) -> bool:
+    """Whether ``node`` is a ``print`` call or names ``sys.stdout`` or ``sys.stderr``."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "print"
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in ("stdout", "stderr")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sys"
+    )
+
+
+class TestOneChannel:
+    def test_only_main_prints(self):
+        # no module logs or warns, and only cli.main writes to stdout or stderr
+        package = Path(matchfactor.__file__).parent
+        speakers, in_main = set(), set()
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    assert not {a.name for a in node.names} & {"logging", "warnings"}, path.name
+                if isinstance(node, ast.ImportFrom):
+                    assert node.module not in ("logging", "warnings"), path.name
+                if speaks(node):
+                    speakers.add((path.name, id(node)))
+            if path.name == "cli.py":
+                [main] = [n for n in tree.body if getattr(n, "name", None) == "main"]
+                in_main = {("cli.py", id(node)) for node in ast.walk(main) if speaks(node)}
+        assert in_main and speakers == in_main
+
+
 class TestSettableSurface:
     """Every option the CLI accepts; a new one must change this test."""
 
@@ -170,6 +217,30 @@ class TestIngest:
         data.write_text(CSV_FIXTURE)
         assert run("ingest", "--input", data, "--matches", matches, "--out-dir", tmp_path / "o") == 1
         assert capsys.readouterr().err == f"error: n_matches must be >= 1, got {matches}\n"
+
+    def test_warning_lines_on_stderr(self, tmp_path, capsys, caplog):
+        data = tmp_path / "d.csv"
+        data.write_text(WARNED_CSV)
+        out = tmp_path / "out"
+        assert run("ingest", "--input", data, "--matches", 2, "--out-dir", out) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"warning: {w}" for w in INGEST_WARNINGS]
+        assert captured.out == f"wrote {out / 'tensor.json'} (2 players)\n"
+        assert caplog.records == []
+        summary = json.loads((out / "ingest_summary.json").read_text())
+        assert summary["players_dropped"] == 1
+        constant = json.loads((out / "tensor.json").read_text())["metadata"]["constant_features"]
+        assert constant == [False, True, False, False]
+
+    def test_failed_write_prints_no_warning(self, tmp_path, capsys, caplog):
+        data = tmp_path / "d.csv"
+        data.write_text(WARNED_CSV)
+        out = tmp_path / "out"
+        (out / "tensor.json").mkdir(parents=True)
+        assert run("ingest", "--input", data, "--matches", 2, "--out-dir", out) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ")
+        assert caplog.records == []
 
     def test_ingest_error_nonzero_exit(self, tmp_path, capsys):
         data = tmp_path / "d.csv"
@@ -307,6 +378,33 @@ class TestRankScan:
         )
         lines = (out / "rank_scan.csv").read_text().strip().splitlines()
         assert len(lines) == 2 + 4 * 3  # comment + header + rank*restart rows
+
+    def test_failed_restarts_are_warnings(self, tmp_path, monkeypatch, capsys):
+        path = TestMalformedInputs.planted_container(tmp_path)
+        out = tmp_path / "o"
+        fail_seeds(monkeypatch, {1})
+        args = ["--ranks", "1:2", "--restarts", 2, "--max-iters", 60, "--out-dir", out]
+        assert run("rank-scan", "--input", path, *args) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: rank {rank} restart 1 failed: MaxIterationsExceeded: seed 1 stalled"
+            for rank in (1, 2)
+        ]
+        assert json.loads((out / "rank_selection.json").read_text())["failed_restarts"] == 2
+
+    def test_no_restart_succeeding_is_an_error(self, tmp_path, monkeypatch, capsys):
+        users, feats, time, _ = planted_factors(12, 4, 6, 2, seed=0)
+        path = tmp_path / "t.json"
+        save_tensor3(path, kruskal_tensor([1.0, 1.0], users, feats, time))
+        out = tmp_path / "o"
+        calls = fail_seeds(monkeypatch, {0})
+        args = ["--ranks", "1:3", "--restarts", 1, "--out-dir", out]
+        assert run("rank-scan", "--input", path, *args) == 1
+        assert capsys.readouterr().err == (
+            "error: no restart succeeded at any rank; "
+            "first error: MaxIterationsExceeded: seed 0 stalled\n"
+        )
+        assert calls == [0, 0, 0]
+        assert not any(out.iterdir())
 
     def test_selects_planted_rank_and_feeds_analyze(self, tmp_path):
         out = synth_and_ingest(tmp_path)
@@ -533,16 +631,26 @@ class TestAnalyze:
         ]
         assert report.win_rates is None  # the container has no winner matrix
 
-    def test_library_analyze_prints_nothing(self, tmp_path, monkeypatch, capsys):
+    def test_library_analyze_prints_nothing(self, tmp_path, monkeypatch, capsys, caplog):
         t, metadata = load_tensor3(synth_and_ingest(tmp_path) / "tensor.json")
         capsys.readouterr()
         fail_seeds(monkeypatch, {1})
         cfg = matchfactor.DecomposeConfig(n_restarts=2, max_outer_iters=120)
         report = matchfactor.analyze(t, 3, cfg, winner=np.asarray(metadata["winner"]))
+        # each fact the CLI warns about is in a result, and nothing is said
+        data = tmp_path / "warned.csv"
+        data.write_text(WARNED_CSV)
+        result = matchfactor.ingest(data, n_matches=2)
+        normalized = matchfactor.normalize_minmax(result.dataset)
+        welch = matchfactor.welch_t_test(np.full(3, 1.0), np.full(4, 2.0))
         assert capsys.readouterr() == ("", "")
+        assert caplog.records == []
         assert [rec.error for rec in report.records] == [None, "MaxIterationsExceeded: seed 1 stalled"]
         assert report.best is report.records[0]
         assert len(report.win_rates.pairwise_tests) == 3
+        assert result.players_dropped == 1
+        assert normalized.constant_mask.tolist() == [False, True, False, False]
+        assert welch == (-np.inf, 0.0)
 
     def test_kde_raw_mode(self, tmp_path):
         out = synth_and_ingest(tmp_path)
@@ -595,8 +703,13 @@ class TestAnalyze:
             f"warning: {w}" for w in warnings
         ]
         summary = json.loads((out / "analyze_summary.json").read_text())
-        assert summary["warnings"] == warnings
+        no_winner = "tensor container has no winner metadata; win-rate stats skipped"
+        assert err[-1] == f"warning: {no_winner}"
+        assert summary["warnings"] == [*warnings, no_winner]
         assert summary["cluster_sizes"] == [6, 6]
+
+
+TOLERANCES = ["nan", "inf", "0", "-1"]
 
 
 class TestMalformedInputs:
@@ -741,13 +854,25 @@ class TestMalformedInputs:
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("command", [["rank-scan", "--ranks", "1:2"], ["analyze", "--rank", 2]])
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-    def test_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, command, tol):
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            *[("--tol", tol, "rel_tol must be positive and finite") for tol in TOLERANCES],
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+        ],
+        ids=[*TOLERANCES, "seed=-1"],
+    )
+    def test_tolerance_must_be_finite_and_positive(
+        self, tmp_path, monkeypatch, capsys, command, flag, value, message
+    ):
+        # and the seed non-negative: the fit's config is checked before its first fit
         tensor = self.planted_container(tmp_path)
         out = tmp_path / "o"
-        args = ["--input", tensor, "--restarts", 1, "--tol", tol, "--out-dir", out]
+        calls = fail_seeds(monkeypatch, set())
+        args = ["--input", tensor, "--restarts", 1, flag, value, "--out-dir", out]
         assert run(*command, *args) == 1
-        assert capsys.readouterr().err.startswith("error: rel_tol must be positive and finite")
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert calls == []
         assert not any(out.iterdir())
 
     @pytest.mark.parametrize("command", [["ingest"], ["rank-scan"], ["analyze", "--rank", 2]])

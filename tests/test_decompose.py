@@ -164,6 +164,10 @@ class TestDecompose:
         with pytest.raises(ValueError, match="rel_tol must be positive and finite"):
             DecomposeConfig(rel_tol=tol)
 
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            DecomposeConfig(seed=-1)
+
 
 class TestFailedRestarts:
     CFG = DecomposeConfig(n_restarts=3, max_outer_iters=60)

@@ -4,7 +4,8 @@
 files, spec files and ``rank_selection.json`` files.  Whatever the input, a
 run exits with 0, 1 or 2 (or argparse's ``SystemExit(2)``), lets no other
 exception escape, says why it failed on stderr, and a failed run leaves
-``--out-dir`` byte for byte as it was.
+``--out-dir`` byte for byte as it was.  A run that succeeds writes nothing
+to stderr but ``warning:`` lines.
 
 Only valid values that are expensive are bounded: at most 2 restarts, 40
 sweeps, rank spans of 3, and specs of 40 players and 12 matches.
@@ -208,7 +209,9 @@ def test_main_fails_cleanly_or_succeeds(inputs, tmp_path_factory, run):
             code = None
     assert code in (0, 1, 2, None)
     event(f"{argv[0]} exit {code}")
-    if code != 0:
+    if code == 0:
+        assert all(line.startswith("warning: ") for line in stderr.getvalue().splitlines())
+    else:
         if code is not None:
             assert stderr.getvalue().splitlines()[-1].startswith("error: ")
         assert snapshot(out) == before
