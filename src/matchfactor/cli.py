@@ -215,8 +215,9 @@ def _container_metadata(path, metadata: dict, shape) -> tuple[list, list, np.nda
     return feature_names, player_ids, winner
 
 
-def _selected_rank(out_dir) -> int:
-    """The integer ``selected_rank`` of the ``rank_selection.json`` in ``out_dir``."""
+def _selected_rank(out_dir, tensor_path) -> int:
+    """The integer ``selected_rank`` of the ``rank_selection.json`` in ``out_dir``,
+    refused if its config echo names an input other than ``tensor_path``."""
     path = Path(out_dir) / "rank_selection.json"
     if not path.exists():
         raise MatchFactorError("no --rank given and no rank_selection.json in the output directory")
@@ -224,6 +225,13 @@ def _selected_rank(out_dir) -> int:
     rank = doc.get("selected_rank") if isinstance(doc, dict) else None
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise ValueError(f"{path}: 'selected_rank' must be an integer")
+    config = doc.get("config")
+    scanned = config.get("input") if isinstance(config, dict) else None
+    if isinstance(scanned, str) and Path(scanned).resolve() != Path(tensor_path).resolve():
+        raise MatchFactorError(
+            f"{path}: rank {rank} was selected on {scanned}, not on --input {tensor_path}; "
+            "pass --rank to analyze this input"
+        )
     return rank
 
 
@@ -239,7 +247,7 @@ def _clustering_doc(assign) -> dict:
 def cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], str]:
     t, metadata = load_tensor3(args.input)
     feature_names, player_ids, winner = _container_metadata(args.input, metadata, t.shape)
-    rank = args.rank if args.rank is not None else _selected_rank(args.out_dir)
+    rank = args.rank if args.rank is not None else _selected_rank(args.out_dir, args.input)
     report = analyze(
         t, rank, _decompose_config(args), k=args.k, fraction=args.membership_fraction,
         winner=winner, kde_mode=args.kde_mode,

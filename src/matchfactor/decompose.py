@@ -25,25 +25,36 @@ sweep-to-sweep monotonicity allows as an exact fit approaches 1e-6 and
 below.  Below a relative fit of ``1e-4`` the sweep therefore recomputes the
 dense residual ``||X - X_hat||`` instead.
 
-``fit_restarts``, ``decompose`` and ``rank_scan`` run their restarts one
-after another in one loop, ``_fit_rank``, which records a solver failure
-instead of raising it.  One rule picks a model everywhere: highest core
-consistency, then lower fit error, then lower seed.
+``rank_scan`` is the one restart engine: it runs every (rank, restart) fit
+one after another and records a solver failure instead of raising it.
+``fit_restarts`` and ``decompose`` are its one-rank views.  One rule picks a
+model everywhere: highest core consistency, then lower fit error, then
+lower seed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
 from .errors import DegenerateTensor, MatchFactorError
 from .nnls import NnlsProblem, solve_nnls_bpp
-from .tensor import _read_json, _write_json, as_tensor3, frobenius_norm, kruskal_tensor
+from .tensor import (
+    _finite_floats,
+    _read_json,
+    _write_json,
+    as_tensor3,
+    frobenius_norm,
+    kruskal_tensor,
+)
 
 _MODEL_FORMAT = "factor-model"
 _MODEL_VERSION = 1
+_MODEL_KEYS = ("rank", "weights", "factors", "fit", "converged", "iterations", "seed")
 
 # Relative fit below which the Gram-identity fit loses too many digits to
 # cancellation and the sweep recomputes the dense residual instead.
@@ -249,35 +260,12 @@ def _scored(t: np.ndarray, model: FactorModel, restart: int) -> RestartRecord:
     )
 
 
-def _fit_rank(t: np.ndarray, rank: int, cfg: DecomposeConfig) -> list[RestartRecord]:
-    """Fit the restarts of one rank of a validated tensor, one after another.
-
-    Restart ``i`` seeds its generator with ``cfg.seed + i``.  A solver
-    failure becomes a failed record instead of an exception.
-    """
-    records = []
-    for restart in range(cfg.n_restarts):
-        seed = cfg.seed + restart
-        try:
-            model = _anls_single(t, rank, seed, cfg)
-        except MatchFactorError as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            records.append(RestartRecord(rank, restart, seed, math.nan, math.nan, False, error))
-        else:
-            records.append(_scored(t, model, restart))
-    return records
-
-
-def _succeeded(records: list[RestartRecord], rank: int) -> list[RestartRecord]:
+def _best(records: list[RestartRecord], rank: int) -> RestartRecord:
     ok = [rec for rec in records if not rec.failed]
     if not ok:
         first = f"; first error: {records[0].error}" if records else ""
         raise MatchFactorError(f"no restart at rank {rank} succeeded{first}")
-    return ok
-
-
-def _best(records: list[RestartRecord], rank: int) -> RestartRecord:
-    return min(_succeeded(records, rank), key=_restart_order)
+    return min(ok, key=_restart_order)
 
 
 def _best_by_rank(records) -> dict[int, RestartRecord]:
@@ -291,16 +279,14 @@ def fit_restarts(t: np.ndarray, rank: int, cfg: DecomposeConfig | None = None) -
     Restart ``i`` seeds its generator with ``cfg.seed + i``.  Raises
     :class:`MatchFactorError`, naming the first error, if every restart fails.
     """
-    cfg = cfg or DecomposeConfig()
-    t = _validate_decompose_inputs(t, [rank])
-    return [rec.model for rec in _succeeded(_fit_rank(t, rank, cfg), rank)]
+    scan = rank_scan(t, [rank], cfg)
+    scan.best(rank)  # raises if every restart failed
+    return [rec.model for rec in scan.records if not rec.failed]
 
 
 def decompose(t: np.ndarray, rank: int, cfg: DecomposeConfig | None = None) -> FactorModel:
     """The restart with the highest core consistency (the rule of ``select_best_model``)."""
-    cfg = cfg or DecomposeConfig()
-    t = _validate_decompose_inputs(t, [rank])
-    return _best(_fit_rank(t, rank, cfg), rank).model
+    return rank_scan(t, [rank], cfg).best(rank).model
 
 
 def core_consistency(t: np.ndarray, model: FactorModel) -> float:
@@ -376,23 +362,34 @@ def _select_knee(ranks: list[int], best_cc: list[float]) -> tuple[int, str]:
 def rank_scan(t: np.ndarray, ranks, cfg: DecomposeConfig | None = None) -> RankScanResult:
     """Fit every rank in ``ranks`` with restarts and pick the consistency knee.
 
-    A solver failure is recorded on its restart's record instead of aborting
-    the scan.  Ranks with no successful restart are skipped by the knee rule.
+    Restart ``i`` seeds its generator with ``cfg.seed + i``.  A solver
+    failure is recorded on its restart's record instead of aborting the
+    scan.  Ranks with no successful restart are skipped by the knee rule.
     The full per-restart curve is always part of the result so a caller can
     override the automatic selection.  An ascending ``range`` is checked
     without being built, so a huge one fails at its first rank out of range.
     """
     cfg = cfg or DecomposeConfig()
     if not (isinstance(ranks, range) and ranks.step > 0):
-        ranks = sorted({int(r) for r in ranks})
+        ranks = sorted({operator.index(r) for r in ranks})
     if not ranks:
         raise ValueError("rank scan range must be non-empty")
     t = _validate_decompose_inputs(t, ranks)
-    records = tuple(rec for rank in ranks for rec in _fit_rank(t, rank, cfg))
+    records = []
+    for rank in ranks:
+        for restart in range(cfg.n_restarts):
+            seed = cfg.seed + restart
+            try:
+                model = _anls_single(t, rank, seed, cfg)
+            except MatchFactorError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                records.append(RestartRecord(rank, restart, seed, math.nan, math.nan, False, error))
+            else:
+                records.append(_scored(t, model, restart))
     best = _best_by_rank(records)
     best_cc = [best[r].core_consistency if r in best else float("-inf") for r in ranks]
     selected, rationale = _select_knee(ranks, best_cc)
-    return RankScanResult(records=records, selected_rank=selected, rationale=rationale)
+    return RankScanResult(records=tuple(records), selected_rank=selected, rationale=rationale)
 
 
 def align_components(
@@ -483,9 +480,19 @@ def _matrix_doc(m: np.ndarray) -> dict:
     }
 
 
-def _matrix_from_doc(doc: dict) -> np.ndarray:
-    values = np.asarray(doc["values"], dtype=np.float64)
-    return values.reshape(int(doc["rows"]), int(doc["cols"]))
+def _matrix_from_doc(doc, name: str, rank: int) -> np.ndarray:
+    if not (isinstance(doc, dict) and {"rows", "cols", "values"} <= doc.keys()):
+        raise ValueError(f"factor {name!r} must be an object with rows, cols and values")
+    rows, cols = doc["rows"], doc["cols"]
+    if type(rows) is not int or rows < 1:
+        raise ValueError(f"factor {name!r}: rows must be a positive integer, got {rows!r}")
+    if type(cols) is not int or cols != rank:
+        raise ValueError(f"factor {name!r}: cols must be the rank {rank}, got {cols!r}")
+    message = f"factor {name!r}: values must be a list of finite numbers"
+    values = _finite_floats(doc["values"], message)
+    if values.size != rows * cols:
+        raise ValueError(f"factor {name!r}: {values.size} values do not fill {rows} x {cols}")
+    return values.reshape(rows, cols)
 
 
 def model_to_doc(
@@ -512,19 +519,38 @@ def model_to_doc(
     return doc
 
 
-def model_from_doc(doc: dict) -> FactorModel:
-    if doc.get("format") != _MODEL_FORMAT:
+def model_from_doc(doc) -> FactorModel:
+    """The model of a ``model_to_doc`` document; a malformed one raises ``ValueError``."""
+    if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
         raise ValueError("not a factor-model document")
+    if doc.get("version") != _MODEL_VERSION:
+        raise ValueError(f"unsupported factor-model version {doc.get('version')!r}")
+    missing = [key for key in _MODEL_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"missing keys {missing}")
+    weights = _finite_floats(doc["weights"], "weights must be a list of finite numbers")
+    rank = doc["rank"]
+    if type(rank) is not int or rank < 1 or rank != weights.size:
+        message = f"rank must be positive and equal to the {weights.size} weights, got {rank!r}"
+        raise ValueError(message)
+    if not isinstance(doc["factors"], dict):
+        raise ValueError("factors must be an object")
     factors = tuple(
-        _matrix_from_doc(doc["factors"][key]) for key in ("users", "features", "time")
+        _matrix_from_doc(doc["factors"].get(name), name, rank)
+        for name in ("users", "features", "time")
     )
+    if type(doc["converged"]) is not bool:
+        raise ValueError("converged must be a boolean")
+    for key in ("iterations", "seed"):
+        if type(doc[key]) is not int or doc[key] < 0:
+            raise ValueError(f"{key} must be a non-negative integer")
     return FactorModel(
-        weights=np.asarray(doc["weights"], dtype=np.float64),
+        weights=weights,
         factors=factors,
-        fit=float(doc["fit"]),
-        converged=bool(doc["converged"]),
-        iterations=int(doc["iterations"]),
-        seed=int(doc["seed"]),
+        fit=float(_finite_floats([doc["fit"]], "fit must be a finite number")[0]),
+        converged=doc["converged"],
+        iterations=doc["iterations"],
+        seed=doc["seed"],
     )
 
 
@@ -533,4 +559,10 @@ def save_factor_model(path, model: FactorModel, core_consistency_value: float) -
 
 
 def load_factor_model(path) -> FactorModel:
-    return model_from_doc(_read_json(path))
+    """Read a model written by ``save_factor_model``; a file that is not one
+    raises ``ValueError`` naming it."""
+    doc = _read_json(path)
+    try:
+        return model_from_doc(doc)
+    except ValueError as exc:
+        raise ValueError(f"{Path(path)}: {exc}") from None

@@ -189,6 +189,20 @@ def _read_json(path):
             raise ValueError(f"{Path(path)}: not a JSON file ({exc})") from None
 
 
+def _finite_floats(values, message: str) -> np.ndarray:
+    """A JSON list of numbers as float64; anything else, or a number that is
+    not finite, raises ``ValueError(message)``."""
+    # exact types: a JSON true or a string is not a number
+    if isinstance(values, list) and {*map(type, values)} <= {int, float}:
+        try:
+            array = np.asarray(values, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(message) from None
+        if np.isfinite(array).all():
+            return array
+    raise ValueError(message)
+
+
 def _write_json(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
@@ -213,17 +227,7 @@ def load_tensor3(path) -> tuple[np.ndarray, dict]:
         and all(type(d) is int and d > 0 for d in dims)
     ):
         raise ValueError(f"{where}: dims must be three positive integers, got {dims!r}")
-    values = doc.get("values")
-    # exact types: a JSON true or a string is not a number
-    if not (isinstance(values, list) and {*map(type, values)} <= {int, float}):
-        raise ValueError(f"{where}: values must be a list of numbers")
-    try:
-        values = np.asarray(values, dtype=np.float64)
-        finite = np.isfinite(values).all()
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ValueError(f"{where}: values must be finite numbers")
+    values = _finite_floats(doc.get("values"), f"{where}: values must be a list of finite numbers")
     if values.size != dims[0] * dims[1] * dims[2]:
         raise ValueError(f"{where}: value count does not match dims {tuple(dims)}")
     metadata = doc.get("metadata", {})

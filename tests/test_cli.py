@@ -502,6 +502,40 @@ class TestAnalyze:
         assert code == 1
         assert "rank" in capsys.readouterr().err
 
+    @staticmethod
+    def scan_planted(tmp_path, scan_input, out):
+        """Planted rank-2 a.json and rank-3 b.json in ``tmp_path``, the
+        current directory, and a scan of ``scan_input`` into ``out``."""
+        for name, rank in (("a.json", 2), ("b.json", 3)):
+            users, feats, time, _ = planted_factors(40, 4, 10, rank, seed=rank)
+            save_tensor3(tmp_path / name, kruskal_tensor(np.ones(rank), users, feats, time))
+        code = run(
+            "rank-scan", "--input", scan_input, "--ranks", "1:3", "--restarts", 1,
+            "--max-iters", 60, "--out-dir", out,
+        )
+        assert code == 0
+
+    def test_rank_scanned_on_another_input_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        self.scan_planted(tmp_path, "a.json", "o")
+        before = {path.name: path.read_bytes() for path in Path("o").iterdir()}
+        capsys.readouterr()
+        assert run("analyze", "--input", "b.json", "--restarts", 1, "--out-dir", "o") == 1
+        assert capsys.readouterr().err == (
+            "error: o/rank_selection.json: rank 2 was selected on a.json, not on --input b.json; "
+            "pass --rank to analyze this input\n"
+        )
+        assert {path.name: path.read_bytes() for path in Path("o").iterdir()} == before
+
+    @pytest.mark.parametrize("spelling", ["./a.json", "absolute"])
+    def test_rank_scanned_on_the_same_file_is_taken(self, tmp_path, monkeypatch, spelling):
+        monkeypatch.chdir(tmp_path)
+        scanned = tmp_path / "a.json" if spelling == "absolute" else spelling
+        self.scan_planted(tmp_path, scanned, "o")
+        analyzed = "./a.json" if spelling == "absolute" else tmp_path / "a.json"
+        assert run("analyze", "--input", analyzed, "--restarts", 1, "--out-dir", "o") == 0
+        assert json.loads(Path("o/factor_model.json").read_text())["rank"] == 2
+
     def test_byte_identical_reruns(self, tmp_path):
         out = synth_and_ingest(tmp_path)
         assert self.analyze(out) == 0

@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
+import json
 import math
+import re
 from itertools import permutations
 
 import numpy as np
@@ -12,12 +14,15 @@ from matchfactor import (
     MatchFactorError,
     MaxIterationsExceeded,
     align_components,
+    analyze,
     as_factor_model,
     core_consistency,
     decompose,
     fit_restarts,
     kruskal_tensor,
     load_factor_model,
+    model_from_doc,
+    model_to_doc,
     permute_components,
     planted_factors,
     rank_scan,
@@ -158,6 +163,10 @@ class TestDecompose:
             decompose(t, 0, FAST)
         with pytest.raises(ValueError, match="rank"):
             decompose(t, 10, FAST)
+        with pytest.raises(TypeError):
+            decompose(t, 2.5, FAST)
+        with pytest.raises(TypeError):
+            rank_scan(t, [1, 2.5], FAST)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
     def test_config_rejects_tolerance_outside_zero_to_inf(self, tol):
@@ -197,6 +206,31 @@ class TestFailedRestarts:
         assert result.best_by_rank() == {}
         with pytest.raises(MatchFactorError, match="rank 2"):
             result.best(2)
+
+
+class TestOneEngine:
+    # each door's models, and those of the scan that every door runs
+    DOORS = {
+        "fit_restarts": (
+            fit_restarts, lambda scan: [r.model for r in scan.records if not r.failed]
+        ),
+        "decompose": (lambda *a: [decompose(*a)], lambda scan: [scan.best(2).model]),
+        "analyze": (lambda *a: [analyze(*a).best.model], lambda scan: [scan.best(2).model]),
+    }
+
+    @pytest.mark.parametrize("door", DOORS)
+    def test_every_door_returns_the_engines_models(self, monkeypatch, door):
+        t, _ = planted_tensor(dims=(10, 4, 8), rank=2, seed=4)
+        cfg = DecomposeConfig(n_restarts=3, seed=4, max_outer_iters=60)
+        fit, of_scan = self.DOORS[door]
+        want = of_scan(rank_scan(t, [2], cfg))
+        calls = fail_seeds(monkeypatch, set())
+        got = fit(t, 2, cfg)
+        assert calls == [4, 5, 6]
+        assert len(got) == len(want) == (3 if door == "fit_restarts" else 1)
+        for g, w in zip(got, want):
+            assert g.seed == w.seed
+            assert all(np.array_equal(a, b) for a, b in zip(g.factors, w.factors))
 
 
 class TestIndeterminacies:
@@ -389,3 +423,82 @@ class TestSerialization:
         np.testing.assert_array_equal(back.weights, model.weights)
         for f1, f2 in zip(back.factors, model.factors):
             np.testing.assert_array_equal(f1, f2)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("a list", "not a factor-model document"),
+            ("format=dense-tensor3", "not a factor-model document"),
+            ("version=2", "unsupported factor-model version 2"),
+            ("no version", "unsupported factor-model version None"),
+            ("no factors", "missing keys ['factors']"),
+            ("no fit, no seed", "missing keys ['fit', 'seed']"),
+            ("factors=[]", "factors must be an object"),
+            ("no time", "factor 'time' must be an object with rows, cols and values"),
+            ("users=[]", "factor 'users' must be an object with rows, cols and values"),
+            ("users.rows=0", "factor 'users': rows must be a positive integer, got 0"),
+            ("users.rows=1.5", "factor 'users': rows must be a positive integer, got 1.5"),
+            ("users.rows=true", "factor 'users': rows must be a positive integer, got True"),
+            ("users.values=5 of 6", "factor 'users': 5 values do not fill 3 x 2"),
+            ("users.values nested", "factor 'users': values must be a list of finite numbers"),
+            ("users.values=[..., null]", "factor 'users': values must be a list of finite numbers"),
+            ("users.values=[..., 10**400]",
+             "factor 'users': values must be a list of finite numbers"),
+            ("time.cols=1", "factor 'time': cols must be the rank 2, got 1"),
+            ("weights=[1.0]", "rank must be positive and equal to the 1 weights, got 2"),
+            ("weights=[], rank=0", "rank must be positive and equal to the 0 weights, got 0"),
+            ("weights=1.0", "weights must be a list of finite numbers"),
+            ("weights=[NaN, 1]", "weights must be a list of finite numbers"),
+            ("weights=[true, 1]", "weights must be a list of finite numbers"),
+            ("weights=[10**400, 1]", "weights must be a list of finite numbers"),
+            ("rank=2.0", "rank must be positive and equal to the 2 weights, got 2.0"),
+            ("fit=NaN", "fit must be a finite number"),
+            ("fit='0.1'", "fit must be a finite number"),
+            ("converged=1", "converged must be a boolean"),
+            ("iterations=-1", "iterations must be a non-negative integer"),
+            ("seed=0.0", "seed must be a non-negative integer"),
+        ],
+    )
+    def test_malformed_document_is_a_value_error(self, tmp_path, case, message):
+        _, truth = planted_tensor(dims=(3, 2, 2), rank=2)
+        doc = json.loads(json.dumps(model_to_doc(truth)))
+        users, time = doc["factors"]["users"], doc["factors"]["time"]
+        edits = {
+            "a list": lambda: None,
+            "format=dense-tensor3": lambda: doc.update(format="dense-tensor3"),
+            "version=2": lambda: doc.update(version=2),
+            "no version": lambda: doc.pop("version"),
+            "no factors": lambda: doc.pop("factors"),
+            "no fit, no seed": lambda: (doc.pop("seed"), doc.pop("fit")),
+            "factors=[]": lambda: doc.update(factors=[]),
+            "no time": lambda: doc["factors"].pop("time"),
+            "users=[]": lambda: doc["factors"].update(users=[]),
+            "users.rows=0": lambda: users.update(rows=0),
+            "users.rows=1.5": lambda: users.update(rows=1.5),
+            "users.rows=true": lambda: users.update(rows=True),
+            "users.values=5 of 6": lambda: users["values"].pop(),
+            "users.values nested": lambda: users.update(values=[users["values"]]),
+            "users.values=[..., null]": lambda: users["values"].__setitem__(-1, None),
+            "users.values=[..., 10**400]": lambda: users["values"].__setitem__(-1, 10**400),
+            "time.cols=1": lambda: time.update(cols=1, values=time["values"][::2]),
+            "weights=[1.0]": lambda: doc.update(weights=[1.0]),
+            "weights=[], rank=0": lambda: doc.update(weights=[], rank=0),
+            "weights=1.0": lambda: doc.update(weights=1.0),
+            "weights=[NaN, 1]": lambda: doc.update(weights=[math.nan, 1]),
+            "weights=[true, 1]": lambda: doc.update(weights=[True, 1]),
+            "weights=[10**400, 1]": lambda: doc.update(weights=[10**400, 1]),
+            "rank=2.0": lambda: doc.update(rank=2.0),
+            "fit=NaN": lambda: doc.update(fit=math.nan),
+            "fit='0.1'": lambda: doc.update(fit="0.1"),
+            "converged=1": lambda: doc.update(converged=1),
+            "iterations=-1": lambda: doc.update(iterations=-1),
+            "seed=0.0": lambda: doc.update(seed=0.0),
+        }
+        edits[case]()
+        bad = [doc] if case == "a list" else doc
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            model_from_doc(bad)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_factor_model(path)
