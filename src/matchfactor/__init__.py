@@ -15,7 +15,6 @@ from .data import (
     Dataset,
     IngestResult,
     NormalizedTensor,
-    denormalize,
     ingest,
     normalize_minmax,
 )
@@ -31,7 +30,6 @@ from .decompose import (
     load_factor_model,
     model_from_doc,
     model_to_doc,
-    permute_components,
     rank_scan,
     save_factor_model,
     select_best_model,
@@ -57,7 +55,6 @@ from .patterns import (
     analyze,
     cluster_feature_trajectories,
     feature_membership,
-    intra_component_membership,
     kde_gaussian,
     kde_grid,
     kmeans,
@@ -78,9 +75,7 @@ from .synthetic import (
     planted_factors,
 )
 from .tensor import (
-    as_matrix,
     as_tensor3,
-    fold,
     frobenius_norm,
     khatri_rao,
     kruskal_tensor,

@@ -14,9 +14,10 @@ Input formats
     ``gameCreation``, ``participantIdentities`` (participantId -> player)
     and ``participants`` (participantId -> stats block).  Per player,
     ``match_index`` is the chronological rank of the match (ties broken by
-    file position).  The reader holds the file's text but decodes one match
-    at a time and keeps only its seats, so the parsed document never exists
-    whole; errors are those of ``json.loads`` on the whole document.
+    file position).  The reader reads the file a block at a time, decodes
+    one match at a time and keeps each seat in typed columns, a few bytes
+    per seat, so neither the text nor a parsed document is ever held whole;
+    errors are those of ``json.loads`` on the whole document.
 
 An undecodable line in any of them is a ``MalformedRecord`` with its line
 number.
@@ -28,9 +29,11 @@ records with ``match_index < n_matches`` form a complete history
 ``0 .. n_matches-1`` (players with longer histories are truncated to their
 first ``n_matches`` matches); everyone else is dropped and counted.
 
-Each reader yields raw rows, parsed in chunks into columns; ``ingest``
-applies the retention rule to the columns and scatters the kept rows into
-the dense arrays of a ``Dataset``.
+The csv and json-lines readers yield raw rows, parsed in chunks into
+columns; the riot reader stages typed columns and checks row by row only
+the seats whose values may be invalid.  ``ingest`` applies the retention
+rule to the columns and scatters the kept rows into the dense arrays of a
+``Dataset``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ import re
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from json.decoder import scanstring
-from operator import itemgetter
 
 import numpy as np
 
@@ -64,6 +66,9 @@ CSV_HEADER = (
 
 # rows parsed at once: bounds the raw values held while reading
 _CHUNK = 8192
+
+# characters of a riot export read at once: bounds the text held
+_BLOCK = 1 << 20
 
 # one JSON value at an index, as json.loads decodes it; and the whitespace
 # JSON allows between tokens
@@ -215,23 +220,23 @@ def _parse_chunk(chunk, codes: dict[str, int]) -> tuple:
 
 def _read_columns(rows) -> tuple:
     """Parse ``(values, where, line)`` rows chunk by chunk into the player
-    names and the concatenated columns of ``_parse_chunk``."""
+    names and the concatenated columns of ``_parse_chunk``; close ``rows``."""
     codes: dict[str, int] = {}
     parts = []
-    rows = iter(rows)
-    while True:
-        chunk = []
-        try:
-            for row in rows:
-                chunk.append(row)
-                if len(chunk) == _CHUNK:
-                    break
-        finally:
-            # a reader error raised after a bad row must not hide that row
-            if chunk:
-                parts.append(_parse_chunk(chunk, codes))
-        if len(chunk) < _CHUNK:
-            break
+    with contextlib.closing(rows):
+        while True:
+            chunk = []
+            try:
+                for row in rows:
+                    chunk.append(row)
+                    if len(chunk) == _CHUNK:
+                        break
+            finally:
+                # a reader error raised after a bad row must not hide that row
+                if chunk:
+                    parts.append(_parse_chunk(chunk, codes))
+            if len(chunk) < _CHUNK:
+                break
     if not parts:
         return [], *[np.zeros(0, np.int64)] * 5
     return list(codes), *(np.concatenate(col) for col in zip(*parts))
@@ -284,41 +289,52 @@ def _json_lines_rows(path):
         yield tuple(map(row.get, CSV_HEADER)), "json record", line_no
 
 
-def _riot_match_json_rows(path):
-    """Flatten saved match-endpoint responses into per-player rows."""
-    staged = _riot_seats(path)
-    # a player's match_index is the chronological rank of the match, ties
-    # broken by file position
-    staged.sort(key=itemgetter(0, 1, 2))
-    counters: dict[str, int] = {}
-    for player, _, pos, arena, assists, deaths, kills, gold, win in staged:
-        k = counters[player] = counters.get(player, -1) + 1
-        row = (player, k, assists, deaths, kills, gold, win, arena)
-        yield row, f"match at position {pos}", None
+def _riot_columns(path) -> tuple:
+    """The columns of ``_read_columns`` for a riot export.
 
-
-def _riot_seats(path) -> list:
-    """The seats of a riot export as ``(player, gameCreation, position,
-    mapId, assists, deaths, kills, gold, win)``.
-
-    Reads the whole text but decodes one match at a time, so no parsed
-    document is ever held.  Invalid JSON anywhere wins over a malformed
-    match, and a repeated ``matches`` key counts only the last time, as for
-    ``json.loads``.  A document the walk does not take is parsed again with
-    ``json.loads``, on that path only, for its exact error.
+    A player's ``match_index`` is the chronological rank of the match, ties
+    broken by file position.  The seats that ``_parse_row`` may reject (raw
+    values, or counts out of range) go through it in that order, so the
+    first invalid one raises, as the other readers' first invalid row does.
     """
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        text = fh.read()
-    bad = None if text.isascii() else _escaped_byte(text)
-    if bad:  # the text is newline-translated, so each line ends in one "\n"
-        raise MalformedRecord("invalid UTF-8", text.count("\n", 0, bad.start()) + 1)
+    seats = _riot_seats(path)
+    names = sorted(seats.names)
+    rank = np.zeros(len(names), np.int64)
+    rank[list(map(seats.names.__getitem__, names))] = np.arange(len(names))
+    player = rank[np.frombuffer(seats.player, np.int64)]
+    pos = np.frombuffer(seats.match, np.int64)
+    counts = np.frombuffer(seats.counts, np.float64).reshape(-1, len(FEATURES))
+    winner = np.frombuffer(seats.win, bool)
+    arena = _int_column(seats.arena)[pos]
+    # lexsort is stable: seats of one player and gameCreation keep file order
+    order = np.lexsort((_int_column(seats.creation)[pos], player))
+    played = np.bincount(player, minlength=len(names))
+    match_index = np.empty_like(player)
+    match_index[order] = np.arange(player.size) - (np.cumsum(played) - played)[player[order]]
+    valid = ((counts >= 0) & (counts < np.inf)).all(axis=1)
+    for seat in order[~valid[order]].tolist():
+        values = seats.raw.get(seat) or [*counts[seat].tolist(), bool(winner[seat])]
+        row = (names[player[seat]], int(match_index[seat]), *values, arena[seat])
+        row = _parse_row(row, f"match at position {pos[seat]}", None)
+        counts[seat], winner[seat] = row[2:6], row[6]
+    return names, player, match_index, counts, winner, arena
+
+
+def _riot_seats(path) -> _Seats:
+    """The seats of a riot export's last ``matches`` list.
+
+    Reads the export a block at a time and decodes one match at a time, so
+    neither the whole text nor a parsed document is ever held.  Invalid
+    UTF-8 anywhere wins over invalid JSON anywhere, which wins over a
+    malformed match, and a repeated ``matches`` key counts only the last
+    time, as for ``json.loads``.  A document the walk does not take is read
+    again whole, on that path only, for ``json.loads``'s exact error.
+    """
     try:
-        seats, error = _walk_riot_document(text)
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            seats, error = _walk_riot_document(_Window(fh))
     except (ValueError, RecursionError):  # JSONDecodeError, or not one JSON object
-        try:
-            json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # invalid, or nested too deep
-            raise MalformedRecord(f"invalid JSON: {exc}") from None
+        _raise_whole_text_error(path)
         seats = None
     if seats is None:
         raise MalformedRecord("riot-match-json file must hold a 'matches' list")
@@ -327,53 +343,137 @@ def _riot_seats(path) -> list:
     return seats
 
 
-def _walk_riot_document(text: str) -> tuple:
-    """Seats of the last ``matches`` list of the JSON object ``text`` (None
-    without one) and the first error of its matches.  Raises ``ValueError``
-    where ``text`` is not a single JSON object."""
+def _raise_whole_text_error(path) -> None:
+    """Raise the error of the whole text, if any: its first undecodable
+    line, or ``json.loads``'s error."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        text = fh.read()
+    _check_decoded(text, 1)
+    try:
+        json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # invalid, or nested too deep
+        raise MalformedRecord(f"invalid JSON: {exc}") from None
+
+
+def _check_decoded(text: str, line: int) -> None:
+    """Raise ``MalformedRecord`` at the first undecodable byte of ``text``,
+    read with newlines translated and starting on line ``line``."""
+    bad = None if text.isascii() else _escaped_byte(text)
+    if bad:  # each line ends in one "\n"
+        raise MalformedRecord("invalid UTF-8", line + text.count("\n", 0, bad.start()))
+
+
+class _Window:
+    """The unread tail of a text file, read ``_BLOCK`` characters at a time.
+
+    Each block is checked for undecodable bytes as it is read; lines are
+    counted across blocks, so the error names the line of the whole text.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._lines = 0
+        self.text = ""
+        self.eof = False
+
+    def read(self, i: int) -> None:
+        """Drop the text before ``i`` and append the next block."""
+        block = self._fh.read(_BLOCK)
+        _check_decoded(block, self._lines + 1)
+        self._lines += block.count("\n")
+        self.text = self.text[i:] + block
+        self.eof = not block
+
+    def step(self, parse, i: int, *args) -> tuple:
+        """``parse(text, i, *args)``, which returns ``(value, end)``, on
+        enough of the text.  While it fails, or ends at the end of the
+        window (where a whitespace run or a number may go on), read a block
+        and try again from ``i``.  The end returned indexes the current
+        ``text``."""
+        while True:
+            try:
+                value, end = parse(self.text, i, *args)
+                if end < len(self.text) or self.eof:
+                    return value, end
+            except ValueError:  # cut short, or invalid
+                if self.eof:
+                    raise
+            self.read(i)
+            i = 0
+
+
+def _walk_riot_document(win: _Window) -> tuple:
+    """Seats of the last ``matches`` list of the JSON object in ``win``
+    (None without one) and the first error of its matches.  Raises
+    ``ValueError`` where the text is not a single JSON object."""
     seats = error = None
-    names: dict[str, str] = {}  # one string per player name
-    i = _space(text).end()
-    if text[i : i + 1] != "{":
-        raise ValueError("expecting '{'")
-    more, i = _first_item(text, i + 1, "}")
+    names: dict[str, int] = {}  # player name -> code, across every matches list
+    more, i = win.step(_open_object, 0)
     while more:
-        if text[i : i + 1] != '"':
-            raise ValueError("expecting a key")
-        key, i = scanstring(text, i + 1)
-        i = _space(text, i).end()
-        if text[i : i + 1] != ":":
-            raise ValueError("expecting ':'")
-        i = _space(text, i + 1).end()
-        if key == "matches" and text[i : i + 1] == "[":
-            seats, error, i = _walk_matches(text, i + 1, names)
+        key, i = win.step(_member_key, i)
+        if key == "matches" and win.text[i : i + 1] == "[":
+            seats, error, i = _walk_matches(win, i + 1, names)
+            more, i = win.step(_next_item, i, "}")
         else:
             if key == "matches":
                 seats = error = None
-            i = _decode(text, i)[1]
-        more, i = _next_item(text, i, "}")
-    if _space(text, i).end() != len(text):
-        raise ValueError("extra data")
+            (_, more), i = win.step(_item, i, "}")
+    win.step(_document_end, i)
     return seats, error
 
 
-def _walk_matches(text: str, i: int, names: dict[str, str]) -> tuple:
+def _walk_matches(win: _Window, i: int, names: dict[str, int]) -> tuple:
     """The seats and first error of the matches list that starts after its
     ``[`` at ``i``, and the index past its ``]``.  After an error, matches
     are decoded but not staged."""
-    seats, error = [], None
-    more, i = _first_item(text, i, "]")
+    seats, error = _Seats(names), None
+    more, i = win.step(_first_item, i, "]")
     pos = 0
     while more:
-        match, i = _decode(text, i)
+        (match, more), i = win.step(_item, i, "]")
         if error is None:
             try:
-                seats += _match_seats(match, pos, names)
+                seats.add(match, pos)
             except MalformedRecord as exc:
                 error = exc
         pos += 1
-        more, i = _next_item(text, i, "]")
     return seats, error, i
+
+
+def _open_object(text: str, i: int) -> tuple[bool, int]:
+    """``_first_item`` of the object that opens after the whitespace at ``i``."""
+    i = _space(text, i).end()
+    if text[i : i + 1] != "{":
+        raise ValueError("expecting '{'")
+    return _first_item(text, i + 1, "}")
+
+
+def _member_key(text: str, i: int) -> tuple[str, int]:
+    """The key of the object member at ``i`` and the start of its value."""
+    if text[i : i + 1] != '"':
+        raise ValueError("expecting a key")
+    key, i = scanstring(text, i + 1)
+    i = _space(text, i).end()
+    if text[i : i + 1] != ":":
+        raise ValueError("expecting ':'")
+    return key, _space(text, i + 1).end()
+
+
+def _item(text: str, i: int, close: str) -> tuple:
+    """``((value, more), end)``: the value at ``i``, then ``_next_item``.
+    One step, as a number cut inside its fraction or exponent decodes as
+    a shorter one, which only the character after it shows."""
+    value, i = _decode(text, i)
+    more, i = _next_item(text, i, close)
+    return (value, more), i
+
+
+def _document_end(text: str, i: int) -> tuple[None, int]:
+    """Past the whitespace at ``i``, which must end the text."""
+    i = _space(text, i).end()
+    if i != len(text):
+        raise ValueError("extra data")
+    return None, i
 
 
 def _first_item(text: str, i: int, close: str) -> tuple[bool, int]:
@@ -394,45 +494,84 @@ def _next_item(text: str, i: int, close: str) -> tuple[bool, int]:
     raise ValueError(f"expecting ',' or {close!r}")
 
 
-def _match_seats(match, pos: int, names: dict[str, str]) -> list:
-    """The seats of the riot match at list position ``pos``."""
-    where = f"match {pos}"
-    if not isinstance(match, dict):
-        raise MalformedRecord(f"{where}: not an object")
-    arena = _parse_int(match.get("mapId"), "mapId", where, None)
-    creation = _parse_int(match.get("gameCreation", pos), "gameCreation", where, None)
-    seats = []
-    try:
-        identities = {}
-        for ident in match.get("participantIdentities", []):
-            pid = ident.get("participantId")
-            player = (ident.get("player") or {}).get("summonerName")
-            if pid is None or not player:
-                raise MalformedRecord(f"{where}: incomplete participant identity")
-            player = str(player)
-            identities[pid] = names.setdefault(player, player)
-        for part in match.get("participants", []):
-            pid = part.get("participantId")
-            if pid not in identities:
-                raise MalformedRecord(f"{where}: participant {pid} has no identity")
-            stats = part.get("stats") or {}
-            values = list(map(stats.get, ("assists", "deaths", "kills", "goldEarned", "win")))
-            if None in values:
-                missing = [k for k, v in zip(CSV_HEADER[2:7], values) if v is None]
-                raise MalformedRecord(f"{where}: missing fields {missing}")
-            seats.append((identities[pid], creation, pos, arena, *values))
-    except (AttributeError, TypeError):  # a non-object, or a list as participantId
-        raise MalformedRecord(
-            f"{where}: participants, identities, their player and stats must be objects"
-            " and participantId a scalar"
-        ) from None
-    return seats
+# the stats a seat keeps, in the order of CSV_HEADER[2:7]
+_STATS = ("assists", "deaths", "kills", "goldEarned", "win")
+_UNPARSED = (np.nan,) * len(FEATURES)
 
 
+class _Seats:
+    """The seats of one riot ``matches`` list, in typed columns.
+
+    Per seat: the player's code in ``names``, the match's list position,
+    the four counts and ``win``; per match: ``gameCreation`` and ``mapId``.
+    A seat whose counts are not all numbers that fit a float, or whose
+    ``win`` is not a boolean, keeps its raw stats in ``raw`` (by seat) and
+    NaN counts, for ``_parse_row`` to judge.
+    """
+
+    def __init__(self, names: dict[str, int]):
+        # imported here, so that no stage but a riot ingest maps the module
+        from array import array
+
+        self.names = names
+        self.player, self.match = array("q"), array("q")
+        self.counts, self.win = array("d"), bytearray()
+        self.creation: list[int] = []
+        self.arena: list[int] = []
+        self.raw: dict[int, list] = {}
+
+    def add(self, match, pos: int) -> None:
+        """Stage the seats of the riot match at list position ``pos``.  A
+        match that raises may leave some of its seats staged."""
+        where = f"match {pos}"
+        if not isinstance(match, dict):
+            raise MalformedRecord(f"{where}: not an object")
+        self.arena.append(_parse_int(match.get("mapId"), "mapId", where, None))
+        self.creation.append(
+            _parse_int(match.get("gameCreation", pos), "gameCreation", where, None)
+        )
+        try:
+            identities = {}
+            for ident in match.get("participantIdentities", []):
+                pid = ident.get("participantId")
+                player = (ident.get("player") or {}).get("summonerName")
+                if pid is None or not player:
+                    raise MalformedRecord(f"{where}: incomplete participant identity")
+                identities[pid] = self.names.setdefault(str(player), len(self.names))
+            for part in match.get("participants", []):
+                pid = part.get("participantId")
+                if pid not in identities:
+                    raise MalformedRecord(f"{where}: participant {pid} has no identity")
+                stats = part.get("stats") or {}
+                values = list(map(stats.get, _STATS))
+                if None in values:
+                    missing = [k for k, v in zip(CSV_HEADER[2:7], values) if v is None]
+                    raise MalformedRecord(f"{where}: missing fields {missing}")
+                seat = len(self.win)
+                win = values.pop()
+                try:
+                    if win is not True and win is not False:
+                        raise TypeError("win is not a boolean")
+                    self.counts.extend(values)  # a non-number, or an int past a float, raises
+                except (TypeError, OverflowError):
+                    del self.counts[len(FEATURES) * seat :]
+                    self.counts.extend(_UNPARSED)
+                    self.raw[seat] = [*values, win]
+                self.win.append(win is True)
+                self.player.append(identities[pid])
+                self.match.append(pos)
+        except (AttributeError, TypeError):  # a non-object, or a list as participantId
+            raise MalformedRecord(
+                f"{where}: participants, identities, their player and stats must be objects"
+                " and participantId a scalar"
+            ) from None
+
+
+# each reader returns the player names and the columns of ``_parse_chunk``
 _READERS = {
-    "csv": _csv_rows,
-    "json-lines": _json_lines_rows,
-    "riot-match-json": _riot_match_json_rows,
+    "csv": lambda path: _read_columns(_csv_rows(path)),
+    "json-lines": lambda path: _read_columns(_json_lines_rows(path)),
+    "riot-match-json": _riot_columns,
 }
 
 
@@ -448,8 +587,7 @@ def ingest(
         raise ValueError(f"unknown format {fmt!r}; expected one of {sorted(_READERS)}")
     if n_matches < 1:
         raise ValueError(f"n_matches must be >= 1, got {n_matches}")
-    with contextlib.closing(_READERS[fmt](path)) as rows:
-        names, player, match_index, counts, winner, arena = _read_columns(rows)
+    names, player, match_index, counts, winner, arena = _READERS[fmt](path)
     in_arena = np.asarray(arena == arena_id, dtype=bool)
     player, match_index = player[in_arena], match_index[in_arena]
     # the first row whose (player, match_index) key repeats an earlier row's
@@ -531,8 +669,3 @@ def normalize_minmax(dataset: Dataset, per_player: bool = False) -> NormalizedTe
         player_ids=dataset.player_ids,
     )
 
-
-def denormalize(normalized: NormalizedTensor) -> np.ndarray:
-    """Recover raw counts from a normalized tensor (constant features included)."""
-    span = normalized.feature_max - normalized.feature_min
-    return normalized.tensor * span[..., None] + normalized.feature_min[..., None]

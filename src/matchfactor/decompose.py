@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -458,18 +458,6 @@ def _max_assignment(score: np.ndarray) -> np.ndarray:
     col_of = np.empty(n, dtype=int)
     col_of[row_of[1:] - 1] = np.arange(n)
     return col_of
-
-
-def permute_components(model: FactorModel, perm) -> FactorModel:
-    """Reorder components of a model (weights and all three factors jointly)."""
-    idx = np.asarray(perm, dtype=int)
-    if sorted(idx.tolist()) != list(range(model.rank)):
-        raise ValueError(f"not a permutation of range({model.rank}): {perm}")
-    return replace(
-        model,
-        weights=model.weights[idx],
-        factors=tuple(np.ascontiguousarray(f[:, idx]) for f in model.factors),
-    )
 
 
 def _matrix_doc(m: np.ndarray) -> dict:

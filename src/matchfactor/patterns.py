@@ -311,25 +311,6 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarra
     return float(s.mean()), s
 
 
-def intra_component_membership(
-    user_factors: np.ndarray, component: int, seed: int = 0
-) -> np.ndarray:
-    """Two-way 1-D k-means split of one membership column.
-
-    Returns a binary label per user: 1 for the cluster with the higher
-    centroid (the members of the component), 0 otherwise.
-    """
-    a = as_matrix(user_factors)
-    if not 0 <= component < a.shape[1]:
-        raise ValueError(f"component must be in [0, {a.shape[1]}), got {component}")
-    col = a[:, component]
-    if float(col.max() - col.min()) == 0.0:
-        raise ConstantColumn(f"component {component} has a constant membership column")
-    assign = kmeans(col.reshape(-1, 1), k=2, seed=seed)
-    high = int(np.argmax(assign.centroids[:, 0]))
-    return (assign.labels == high).astype(int)
-
-
 # ---------------------------------------------------------------------------
 # temporal views
 

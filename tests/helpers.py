@@ -6,6 +6,7 @@ with the implementation it checks.
 """
 
 import csv
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -57,6 +58,17 @@ def kruskal_by_loops(weights, a, b, c) -> np.ndarray:
                     weights[r] * a[i, r] * b[j, r] * c[k, r] for r in range(r_dim)
                 )
     return out
+
+
+def permute_components(model, perm):
+    """``model`` with its components (weights and the columns of all three
+    factors) in the order ``perm``."""
+    idx = np.asarray(perm, dtype=int)
+    return dataclasses.replace(
+        model,
+        weights=model.weights[idx],
+        factors=tuple(np.ascontiguousarray(f[:, idx]) for f in model.factors),
+    )
 
 
 def nnls_by_enumeration(gram: np.ndarray, rhs_col: np.ndarray) -> np.ndarray:
@@ -142,22 +154,6 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def best_split_1d(values: np.ndarray) -> np.ndarray:
-    """Optimal 2-cluster 1-D k-means by trying every sorted split point."""
-    order = np.argsort(values)
-    v = values[order]
-    n = len(v)
-    best_sse, best_cut = np.inf, 1
-    for cut in range(1, n):
-        lo, hi = v[:cut], v[cut:]
-        sse = ((lo - lo.mean()) ** 2).sum() + ((hi - hi.mean()) ** 2).sum()
-        if sse < best_sse:
-            best_sse, best_cut = sse, cut
-    labels = np.zeros(n, dtype=int)
-    labels[order[best_cut:]] = 1  # 1 = upper (higher-mean) cluster
-    return labels
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:

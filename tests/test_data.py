@@ -20,7 +20,6 @@ from matchfactor import (
     DuplicateKey,
     MalformedRecord,
     NoPlayersRetained,
-    denormalize,
     ingest,
     normalize_minmax,
 )
@@ -253,20 +252,16 @@ class TestNormalize:
         assert normalized.tensor.min() >= 0.0
         assert normalized.tensor.max() <= 1.0
 
-    def test_denormalize_recovers_counts(self):
-        ds = self.make_dataset()
-        normalized = normalize_minmax(ds)
-        np.testing.assert_allclose(
-            denormalize(normalized), ds.counts, atol=1e-9
-        )
-
     def test_per_player_mode(self):
         ds = self.make_dataset()
         normalized = normalize_minmax(ds, per_player=True)
         assert normalized.per_player
         assert normalized.feature_min.shape == (2, 4)
+        span = normalized.feature_max - normalized.feature_min
         np.testing.assert_allclose(
-            denormalize(normalized), ds.counts, atol=1e-9
+            normalized.tensor * span[..., None] + normalized.feature_min[..., None],
+            ds.counts,
+            atol=1e-9,
         )
 
     def test_player_order_permutes_slices(self):
@@ -388,6 +383,30 @@ RIOT_SHAPES = {
 }
 
 
+# riot documents, and the error that each raises
+RIOT_DOCUMENT_ERRORS = [
+    ('{"matches": ["x"], "after": tru}', "^invalid JSON: Expecting value: line 1 column 29"),
+    ('{"matches": ["x"]} x', "^invalid JSON: Extra data: line 1 column 20"),
+    ('\ufeff{"matches": []}', "^invalid JSON: Unexpected UTF-8 BOM"),
+    ('{"matches": ["x"], "matches": 5}', "^riot-match-json file must hold a 'matches' list$"),
+    ('{"matches": ["x"], "matches": [7]}', "^match 0: not an object$"),
+    ('{"matches": [{"mapId": 11}, "x", 7]}', "^match 1: not an object$"),
+    ('{"matches": [1.5e3, "x"], "n": -2.5E-3}', "^match 0: not an object$"),
+    ('{"matches": [] "x": 1}', r"^invalid JSON: Expecting ',' delimiter: line 1 column 16"),
+    (
+        '{"matches": [], 1: 2}',
+        "^invalid JSON: Expecting property name enclosed in double quotes: line 1 column 17",
+    ),
+    ('{"matches" []}', "^invalid JSON: Expecting ':' delimiter: line 1 column 12"),
+    # one character off the grammar, where the walk would otherwise go on
+    (
+        '{"matches": [], x": 1}',
+        "^invalid JSON: Expecting property name enclosed in double quotes: line 1 column 17",
+    ),
+    ('{"matches"x[]}', "^invalid JSON: Expecting ':' delimiter: line 1 column 11"),
+]
+
+
 class TestRiotShapes:
     @pytest.mark.parametrize("shape", sorted(RIOT_SHAPES))
     def test_malformed_match(self, tmp_path, shape):
@@ -406,29 +425,7 @@ class TestRiotShapes:
         with pytest.raises(MalformedRecord, match="invalid JSON"):
             ingest(path, "riot-match-json", n_matches=3)
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ('{"matches": ["x"], "after": tru}', "^invalid JSON: Expecting value: line 1 column 29"),
-            ('{"matches": ["x"]} x', "^invalid JSON: Extra data: line 1 column 20"),
-            ('\ufeff{"matches": []}', "^invalid JSON: Unexpected UTF-8 BOM"),
-            ('{"matches": ["x"], "matches": 5}', "^riot-match-json file must hold a 'matches' list$"),
-            ('{"matches": ["x"], "matches": [7]}', "^match 0: not an object$"),
-            ('{"matches": [{"mapId": 11}, "x", 7]}', "^match 1: not an object$"),
-            ('{"matches": [] "x": 1}', r"^invalid JSON: Expecting ',' delimiter: line 1 column 16"),
-            (
-                '{"matches": [], 1: 2}',
-                "^invalid JSON: Expecting property name enclosed in double quotes: line 1 column 17",
-            ),
-            ('{"matches" []}', "^invalid JSON: Expecting ':' delimiter: line 1 column 12"),
-            # one character off the grammar, where the walk would otherwise go on
-            (
-                '{"matches": [], x": 1}',
-                "^invalid JSON: Expecting property name enclosed in double quotes: line 1 column 17",
-            ),
-            ('{"matches"x[]}', "^invalid JSON: Expecting ':' delimiter: line 1 column 11"),
-        ],
-    )
+    @pytest.mark.parametrize("text, message", RIOT_DOCUMENT_ERRORS)
     def test_document_errors(self, tmp_path, text, message):
         # invalid JSON anywhere wins, and the last matches list counts
         path = write(tmp_path, "d.json", text)
@@ -500,6 +497,15 @@ class TestRiotMemory:
         streamed = traced_peak(lambda: ingest(path, "riot-match-json"))
         whole = traced_peak(lambda: ingest_by_records(path, "riot-match-json"))
         assert streamed <= 0.6 * whole, (streamed, whole)
+
+    def test_peak_follows_seats_not_text(self, tmp_path):
+        # 50,000 seats: the reader holds typed columns of them and a block of
+        # the text, so it peaks near the csv reader on the same records
+        riot = write(tmp_path, "d.json", riot_export(n_players=500, n_matches=100))
+        ingest(riot, "riot-match-json").dataset.write_csv(tmp_path / "d.csv")
+        riot_peak = traced_peak(lambda: ingest(riot, "riot-match-json"))
+        csv_peak = traced_peak(lambda: ingest(tmp_path / "d.csv", "csv"))
+        assert riot_peak <= 1.5 * csv_peak, (riot_peak, csv_peak)
 
 
 def with_bad_line(text, line_no, newline="\n"):
@@ -725,3 +731,60 @@ class TestReadersMatchReference:
             path = Path(tmp) / "export"
             path.write_text(make(random.Random(seed)), encoding="utf-8")
             assert_same_as_reference(path, fmt)
+
+
+class TestRiotBlocks:
+    """The riot reader at blocks of a few characters: a token, a line or a
+    value that a block edge splits reads as in the whole text."""
+
+    @pytest.fixture(params=[1, 7, 64])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(data_module, "_BLOCK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("text, message", RIOT_DOCUMENT_ERRORS)
+    def test_document_errors(self, tmp_path, block, text, message):
+        TestRiotShapes().test_document_errors(tmp_path, text, message)
+
+    def test_last_matches_list_counts(self, tmp_path, block):
+        TestRiotShapes().test_last_matches_list_counts(tmp_path)
+
+    def test_undecodable_line(self, tmp_path, block):
+        TestUndecodable().test_riot_export(tmp_path)
+
+    def test_crlf_line_past_the_first_block(self, tmp_path, block):
+        text = json.dumps(json.loads(csv_to_riot_json(CSV_FIXTURE)), indent=1)
+        assert len("\r\n".join(text.splitlines()[:39])) > 64
+        path = tmp_path / "d.json"
+        path.write_bytes(with_bad_line(text, 40, "\r\n"))
+        with pytest.raises(MalformedRecord) as whole:
+            data_module._raise_whole_text_error(path)
+        with pytest.raises(MalformedRecord, match="^line 40: invalid UTF-8$") as read:
+            ingest(path, "riot-match-json", n_matches=3)
+        assert read.value.line == whole.value.line == 40
+
+    @pytest.mark.parametrize("cut", range(1, 16))
+    @pytest.mark.parametrize("number", ['"goldEarned": ', '"total": '], ids=["gold", "total"])
+    def test_number_split_by_a_block_edge(self, tmp_path, monkeypatch, number, cut):
+        # the first block ends inside the number or just past it; a number
+        # cut in its digits, fraction or exponent must not be taken as it stands
+        doc = json.loads(csv_to_riot_json(CSV_FIXTURE))
+        doc["matches"][0]["participants"][0]["stats"]["goldEarned"] = 12345678901
+        text = json.dumps({"total": 1.2345678901e25, "matches": doc["matches"]})
+        path = write(tmp_path, "d.json", text)
+        whole = ingest(path, "riot-match-json", n_matches=3)
+        assert 12345678901 in whole.dataset.counts
+        monkeypatch.setattr(data_module, "_BLOCK", text.index(number) + len(number) + cut)
+        assert_same_dataset(ingest(path, "riot-match-json", n_matches=3).dataset, whole.dataset)
+
+    @pytest.mark.parametrize("size", [7, 64])
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(seed=hst.integers(0, 2**32 - 1))
+    def test_fuzzed_export(self, monkeypatch, size, seed):
+        monkeypatch.setattr(data_module, "_BLOCK", size)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "export"
+            path.write_text(fuzzed_riot(random.Random(seed)), encoding="utf-8")
+            assert_same_as_reference(path, "riot-match-json")

@@ -23,7 +23,6 @@ from matchfactor import (
     load_factor_model,
     model_from_doc,
     model_to_doc,
-    permute_components,
     planted_factors,
     rank_scan,
     save_factor_model,
@@ -32,7 +31,7 @@ from matchfactor import (
 
 from matchfactor.decompose import _max_assignment
 
-from helpers import kruskal_by_loops
+from helpers import kruskal_by_loops, permute_components
 
 FAST = DecomposeConfig(n_restarts=2, max_outer_iters=200)
 
@@ -255,12 +254,6 @@ class TestIndeterminacies:
         np.testing.assert_allclose(
             shuffled.reconstruct(), model.reconstruct(), atol=1e-12
         )
-
-    def test_permute_rejects_non_permutation(self):
-        t, _ = planted_tensor(dims=(8, 4, 6), rank=2, seed=1)
-        model = decompose(t, 2, FAST)
-        with pytest.raises(ValueError, match="permutation"):
-            permute_components(model, [0, 0])
 
 
 class TestCoreConsistency:

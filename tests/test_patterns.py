@@ -11,7 +11,6 @@ from matchfactor import (
     EmptyClusterUnrecoverable,
     cluster_feature_trajectories,
     feature_membership,
-    intra_component_membership,
     kde_gaussian,
     kde_grid,
     kmeans,
@@ -28,7 +27,6 @@ from matchfactor.patterns import _t_two_tail
 
 from helpers import (
     adjusted_rand_index,
-    best_split_1d,
     kde_by_full_matrix,
     silhouette_by_pairs,
     traced_peak,
@@ -223,29 +221,6 @@ class TestSilhouette:
         labels = rng.integers(0, 5, size=n)
         peak = traced_peak(lambda: silhouette(points, labels))
         assert peak <= 0.25 * 3 * n * n * 8, peak
-
-
-class TestIntraComponentMembership:
-    def test_separated_values(self):
-        a = np.array([[0.0], [0.0], [0.0], [10.0], [10.0]])
-        labels = intra_component_membership(a, 0)
-        np.testing.assert_array_equal(labels, [0, 0, 0, 1, 1])
-
-    def test_bimodal_matches_exhaustive_split(self):
-        rng = np.random.default_rng(9)
-        col = np.concatenate(
-            [rng.normal(0.1, 0.02, 30), rng.normal(0.9, 0.02, 20)]
-        )
-        labels = intra_component_membership(col.reshape(-1, 1), 0)
-        np.testing.assert_array_equal(labels, best_split_1d(col))
-
-    def test_constant_column_rejected(self):
-        with pytest.raises(ConstantColumn):
-            intra_component_membership(np.full((5, 1), 2.0), 0)
-
-    def test_bad_component_index(self):
-        with pytest.raises(ValueError, match="component"):
-            intra_component_membership(np.ones((5, 2)), 2)
 
 
 # ---------------------------------------------------------------------------

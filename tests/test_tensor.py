@@ -7,9 +7,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
 
 import matchfactor.tensor as tensor_module
+from matchfactor.tensor import fold
 from matchfactor import (
     as_tensor3,
-    fold,
     frobenius_norm,
     khatri_rao,
     kruskal_tensor,
