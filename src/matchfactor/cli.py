@@ -110,7 +110,7 @@ def cmd_ingest(args: argparse.Namespace) -> tuple[dict, list[str], str]:
         "feature_max": normalized.feature_max.tolist(),
         "constant_features": normalized.constant_mask.tolist(),
         "per_player_normalization": normalized.per_player,
-        "winner": result.dataset.winner_matrix().astype(int).tolist(),
+        "winner": result.dataset.winners.view(np.uint8).tolist(),
     }
     artifacts = {
         "tensor.json": lambda path, config: save_tensor3(

@@ -29,11 +29,13 @@ records with ``match_index < n_matches`` form a complete history
 ``0 .. n_matches-1`` (players with longer histories are truncated to their
 first ``n_matches`` matches); everyone else is dropped and counted.
 
-The csv and json-lines readers yield raw rows, parsed in chunks into
-columns; the riot reader stages typed columns and checks row by row only
-the seats whose values may be invalid.  ``ingest`` applies the retention
-rule to the columns and scatters the kept rows into the dense arrays of a
-``Dataset``.
+The csv and json-lines readers yield raw rows, parsed a chunk at a time
+and appended to typed columns; the riot reader stages typed columns of
+seats and checks row by row only the seats whose values may be invalid.
+Either way a record is held once, in a few dozen bytes.  ``ingest`` finds
+repeated keys by sorting one integer key per record, drops each column once
+it is used, and scatters the kept rows into the dense arrays of a
+``Dataset`` one feature at a time.
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ CSV_HEADER = (
 )
 
 # rows parsed at once: bounds the raw values held while reading
-_CHUNK = 8192
+_CHUNK = 1024
 
 # characters of a riot export read at once: bounds the text held
-_BLOCK = 1 << 20
+_BLOCK = 1 << 18
 
 # one JSON value at an index, as json.loads decodes it; and the whitespace
 # JSON allows between tokens
@@ -181,11 +183,11 @@ def _int_column(values) -> np.ndarray:
 _WINNER = {"0": False, "1": True}
 
 
-def _parse_chunk(chunk, codes: dict[str, int]) -> tuple:
-    """Columns of ``(values, where, line)`` rows: player code (an index into
-    ``codes``), match index, counts (rows, 4), winner and arena.
+def _parse_chunk(chunk) -> list:
+    """The fields of ``(values, where, line)`` rows, one sequence per field:
+    player name, match index, the four counts, winner and arena.
 
-    The columns are parsed in bulk with the checks of ``_parse_row``; a
+    The fields are parsed in bulk with the checks of ``_parse_row``; a
     chunk that fails them is parsed again row by row, so the first invalid
     row raises, with its line.
     """
@@ -204,25 +206,64 @@ def _parse_chunk(chunk, codes: dict[str, int]) -> tuple:
         block = np.array(fields[2:6])
         if min(fields[1]) < 0 or not ((block >= 0) & (block < np.inf)).all():
             raise ValueError("invalid field")
+        fields[2:6] = block
     except (KeyError, TypeError, ValueError, OverflowError):
         fields = list(zip(*(_parse_row(*row) for row in chunk)))
-    players, match_index, *counts, winner, arena = fields
-    for name in dict.fromkeys(players):
-        codes.setdefault(name, len(codes))
-    return (
-        np.fromiter(map(codes.__getitem__, players), np.int64, len(players)),
-        _int_column(match_index),
-        np.array(counts, dtype=np.float64).T,
-        np.array(winner, dtype=bool),
-        _int_column(arena),
+    return fields
+
+
+class _Columns:
+    """Parsed rows in typed columns that grow a chunk at a time, so that a
+    record is held once: player code (an index into ``names``), match index,
+    the four counts, winner and arena.  An integer column turns into a list
+    once it meets a value beyond int64."""
+
+    # each column's array typecode and dtype
+    _TYPES = (
+        ("q", np.int64),  # player code
+        ("q", np.int64),  # match index
+        *[("d", np.float64)] * len(FEATURES),
+        ("B", bool),  # winner
+        ("q", np.int64),  # arena
     )
+
+    def __init__(self):
+        # imported here, as in ``_Seats``
+        from array import array
+
+        self.names: dict[str, int] = {}
+        self.columns = [array(typecode) for typecode, _ in self._TYPES]
+
+    def extend(self, fields: list) -> None:
+        """Append the fields of ``_parse_chunk``."""
+        players, *rest = fields
+        for name in dict.fromkeys(players):
+            self.names.setdefault(name, len(self.names))
+        codes = np.fromiter(map(self.names.__getitem__, players), np.int64, len(players))
+        for i, (values, (_, dtype)) in enumerate(zip([codes, *rest], self._TYPES)):
+            column = self.columns[i]
+            if isinstance(column, list):
+                column.extend(values)
+                continue
+            try:
+                column.frombytes(np.asarray(values, dtype).tobytes())
+            except OverflowError:  # an integer beyond int64: keep Python ints
+                self.columns[i] = [*column, *values]
+
+    def arrays(self) -> tuple:
+        """The player names and the columns as arrays over the staged
+        buffers, the counts as four columns of one feature each."""
+        player, match_index, *counts, winner, arena = (
+            np.array(c, dtype=object) if isinstance(c, list) else np.frombuffer(c, dtype)
+            for c, (_, dtype) in zip(self.columns, self._TYPES)
+        )
+        return list(self.names), player, match_index, counts, winner, arena
 
 
 def _read_columns(rows) -> tuple:
     """Parse ``(values, where, line)`` rows chunk by chunk into the player
-    names and the concatenated columns of ``_parse_chunk``; close ``rows``."""
-    codes: dict[str, int] = {}
-    parts = []
+    names and the columns of ``_Columns``; close ``rows``."""
+    columns = _Columns()
     with contextlib.closing(rows):
         while True:
             chunk = []
@@ -234,12 +275,10 @@ def _read_columns(rows) -> tuple:
             finally:
                 # a reader error raised after a bad row must not hide that row
                 if chunk:
-                    parts.append(_parse_chunk(chunk, codes))
+                    columns.extend(_parse_chunk(chunk))
             if len(chunk) < _CHUNK:
                 break
-    if not parts:
-        return [], *[np.zeros(0, np.int64)] * 5
-    return list(codes), *(np.concatenate(col) for col in zip(*parts))
+    return columns.arrays()
 
 
 def _lines(path, newline=None):
@@ -282,7 +321,7 @@ def _json_lines_rows(path):
         if end != len(line):  # json.loads raises with its own message
             try:
                 row = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:  # as in _raise_whole_text_error
                 raise MalformedRecord(f"invalid JSON: {exc}", line_no) from None
         if not isinstance(row, dict):
             raise MalformedRecord("record is not an object", line_no)
@@ -301,23 +340,25 @@ def _riot_columns(path) -> tuple:
     names = sorted(seats.names)
     rank = np.zeros(len(names), np.int64)
     rank[list(map(seats.names.__getitem__, names))] = np.arange(len(names))
-    player = rank[np.frombuffer(seats.player, np.int64)]
+    player = np.frombuffer(seats.player, np.int64)
+    player[:] = rank[player]  # in the staged buffer: the codes are not needed again
     pos = np.frombuffer(seats.match, np.int64)
     counts = np.frombuffer(seats.counts, np.float64).reshape(-1, len(FEATURES))
     winner = np.frombuffer(seats.win, bool)
-    arena = _int_column(seats.arena)[pos]
     # lexsort is stable: seats of one player and gameCreation keep file order
     order = np.lexsort((_int_column(seats.creation)[pos], player))
     played = np.bincount(player, minlength=len(names))
     match_index = np.empty_like(player)
-    match_index[order] = np.arange(player.size) - (np.cumsum(played) - played)[player[order]]
+    match_index[order] = np.arange(player.size)
+    match_index -= (np.cumsum(played) - played)[player]
+    arena = _int_column(seats.arena)[pos]
     valid = ((counts >= 0) & (counts < np.inf)).all(axis=1)
     for seat in order[~valid[order]].tolist():
         values = seats.raw.get(seat) or [*counts[seat].tolist(), bool(winner[seat])]
         row = (names[player[seat]], int(match_index[seat]), *values, arena[seat])
         row = _parse_row(row, f"match at position {pos[seat]}", None)
         counts[seat], winner[seat] = row[2:6], row[6]
-    return names, player, match_index, counts, winner, arena
+    return names, player, match_index, counts.T, winner, arena
 
 
 def _riot_seats(path) -> _Seats:
@@ -351,7 +392,7 @@ def _raise_whole_text_error(path) -> None:
     _check_decoded(text, 1)
     try:
         json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # invalid, or nested too deep
+    except (ValueError, RecursionError) as exc:  # invalid, an int past the digit limit, too deep
         raise MalformedRecord(f"invalid JSON: {exc}") from None
 
 
@@ -510,7 +551,7 @@ class _Seats:
     """
 
     def __init__(self, names: dict[str, int]):
-        # imported here, so that no stage but a riot ingest maps the module
+        # imported here, so that no stage but an ingest maps the module
         from array import array
 
         self.names = names
@@ -567,7 +608,7 @@ class _Seats:
             ) from None
 
 
-# each reader returns the player names and the columns of ``_parse_chunk``
+# each reader returns the player names and the columns of ``_Columns.arrays``
 _READERS = {
     "csv": lambda path: _read_columns(_csv_rows(path)),
     "json-lines": lambda path: _read_columns(_json_lines_rows(path)),
@@ -589,25 +630,20 @@ def ingest(
         raise ValueError(f"n_matches must be >= 1, got {n_matches}")
     names, player, match_index, counts, winner, arena = _READERS[fmt](path)
     in_arena = np.asarray(arena == arena_id, dtype=bool)
-    player, match_index = player[in_arena], match_index[in_arena]
-    # the first row whose (player, match_index) key repeats an earlier row's
-    index = match_index
-    if index.dtype == object:
-        index = np.unique(index, return_inverse=True)[1].ravel()
-    order = np.lexsort((np.arange(player.size), index, player))
-    repeats = order[1:][(np.diff(player[order]) == 0) & (np.diff(index[order]) == 0)]
-    if repeats.size:
-        row = repeats.min()
+    records_read, records_other_arena = arena.size, arena.size - int(np.count_nonzero(in_arena))
+    del arena  # the columns are dropped as soon as they are used
+    row = _first_repeat(player, match_index, in_arena)
+    if row is not None:
         key = (names[player[row]], int(match_index[row]))
         raise DuplicateKey(f"duplicate record for {key}")
 
-    early = np.asarray(match_index < n_matches, dtype=bool)
+    early = in_arena & np.asarray(match_index < n_matches, dtype=bool)
     history = np.bincount(player[early], minlength=len(names))
     # keys are unique and indices non-negative: n_matches early records are
     # exactly matches 0 .. n_matches-1
     complete = (history == n_matches) & (history > 0)
     retained = sorted(np.flatnonzero(complete).tolist(), key=names.__getitem__)
-    dropped = np.count_nonzero(np.bincount(player, minlength=len(names))) - len(retained)
+    dropped = np.count_nonzero(np.bincount(player[in_arena], minlength=len(names))) - len(retained)
     if not retained:
         raise NoPlayersRetained(
             f"no player has a complete 0..{n_matches - 1} history in arena {arena_id}"
@@ -616,22 +652,61 @@ def ingest(
     position = np.zeros(len(names), dtype=np.int64)
     position[retained] = np.arange(len(retained))
     rows = early & complete[player]
-    i, k = position[player[rows]], match_index[rows].astype(np.int64)
+    at = position[player[rows]]
+    k = np.asarray(match_index[rows], dtype=np.int64)
+    del early, in_arena, player, match_index
     dataset = Dataset(
         player_ids=tuple(names[c] for c in retained),
         counts=np.zeros((len(retained), len(FEATURES), n_matches)),
         winners=np.zeros((len(retained), n_matches), dtype=bool),
         arena_id=arena_id,
     )
-    dataset.counts.transpose(0, 2, 1)[i, k] = counts[in_arena][rows]
-    dataset.winners[i, k] = winner[in_arena][rows]
+    dataset.winners[at, k] = winner[rows]
+    # the offset of each kept row's first count in the flat counts; each
+    # next feature lies n_matches further on
+    at *= len(FEATURES) * n_matches
+    at += k
+    del k
+    flat = dataset.counts.reshape(-1)
+    for column in counts:
+        flat[at] = column[rows]
+        at += n_matches
     return IngestResult(
         dataset=dataset,
         players_retained=len(retained),
         players_dropped=int(dropped),
-        records_read=arena.size,
-        records_other_arena=arena.size - int(in_arena.sum()),
+        records_read=records_read,
+        records_other_arena=records_other_arena,
     )
+
+
+def _keys(player, match_index, in_arena) -> np.ndarray:
+    """One int64 per in-arena row, equal where its (player, match_index)
+    pair is; indices are non-negative."""
+    index = match_index[in_arena]
+    span = int(index.max(initial=0)) + 1
+    if index.dtype == object or span * (int(player.max(initial=0)) + 1) >= 2**63:
+        index = np.unique(index, return_inverse=True)[1].ravel()  # ranks fit in int64
+        span = index.size
+    key = player[in_arena]
+    key *= span
+    key += index
+    return key
+
+
+def _first_repeat(player, match_index, in_arena) -> int | None:
+    """The first in-arena row whose (player, match_index) pair repeats an
+    earlier in-arena row's, or None.  A file without a repeat pays only for
+    sorting its keys in place; one with a repeat, for the stable sort that
+    finds the first."""
+    key = _keys(player, match_index, in_arena)
+    key.sort()
+    if not (key[1:] == key[:-1]).any():
+        return None
+    key = _keys(player, match_index, in_arena)
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][np.diff(key[order]) == 0]
+    return int(np.flatnonzero(in_arena)[repeats.min()])
 
 
 @dataclass(frozen=True)
@@ -658,7 +733,10 @@ def normalize_minmax(dataset: Dataset, per_player: bool = False) -> NormalizedTe
     mins = dataset.counts.min(axis=axis, keepdims=True)
     maxs = dataset.counts.max(axis=axis, keepdims=True)
     constant = maxs == mins
-    tensor = np.where(constant, 0.0, (dataset.counts - mins) / np.where(constant, 1.0, maxs - mins))
+    # one tensor-sized array, scaled and then zeroed where constant in place
+    tensor = (dataset.counts - mins).astype(np.float64, copy=False)
+    tensor /= np.where(constant, 1.0, maxs - mins)
+    tensor[np.broadcast_to(constant[..., 0], tensor.shape[:2])] = 0.0
     mins, maxs, constant = (a.squeeze(axis) for a in (mins, maxs, constant))
     return NormalizedTensor(
         tensor=tensor,

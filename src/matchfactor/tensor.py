@@ -28,7 +28,7 @@ import numpy as np
 _TENSOR_FORMAT = "dense-tensor3"
 _TENSOR_VERSION = 1
 # the values formatted and held as text at once by the writers
-_SLICE = 1 << 16
+_SLICE = 1 << 15
 
 
 def as_tensor3(values, require_nonnegative: bool = False) -> np.ndarray:

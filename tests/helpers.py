@@ -146,6 +146,17 @@ def kde_by_full_matrix(values, grid, bandwidth) -> np.ndarray:
     return np.exp(-0.5 * z**2).sum(axis=1) / (values.size * bandwidth * np.sqrt(2.0 * np.pi))
 
 
+def normalize_by_where(counts, per_player=False):
+    """Min-max normalization as one ``np.where`` over tensor-sized
+    temporaries: the tensor and the constant-feature mask."""
+    axis = 2 if per_player else (0, 2)
+    mins = counts.min(axis=axis, keepdims=True)
+    maxs = counts.max(axis=axis, keepdims=True)
+    constant = maxs == mins
+    tensor = np.where(constant, 0.0, (counts - mins) / np.where(constant, 1.0, maxs - mins))
+    return tensor, constant.squeeze(axis)
+
+
 def traced_peak(call):
     """The peak of memory traced by ``tracemalloc`` while ``call()`` runs."""
     tracemalloc.start()
@@ -255,7 +266,7 @@ def _records_from_json_lines(path):
                 continue
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # invalid, or an int past the digit limit
                 raise MalformedRecord(f"invalid JSON: {exc}", line_no) from None
             if not isinstance(row, dict):
                 raise MalformedRecord("record is not an object", line_no)
@@ -267,7 +278,7 @@ def _records_from_riot_match_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid, or an int past the digit limit
             raise MalformedRecord(f"invalid JSON: {exc}") from None
     matches = doc.get("matches") if isinstance(doc, dict) else None
     if not isinstance(matches, list):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 import matchfactor.data as data_module
 import matchfactor.tensor as tensor_module
@@ -25,7 +27,7 @@ from matchfactor import (
 )
 from matchfactor.synthetic import SyntheticSpec, generate_synthetic
 
-from helpers import ingest_by_records, traced_peak, write_csv_by_values
+from helpers import ingest_by_records, normalize_by_where, traced_peak, write_csv_by_values
 
 CSV_FIXTURE = """player_id,match_index,assists,deaths,kills,gold,winner,arena_id
 alice,0,3,1,5,9000,1,11
@@ -273,6 +275,36 @@ class TestNormalize:
         np.testing.assert_array_equal(a[1], b[0])
 
 
+@hst.composite
+def count_tensors(draw):
+    """Counts of a few players, some features constant across all of them."""
+    shape = (draw(hst.integers(1, 5)), len(FEATURES), draw(hst.integers(1, 6)))
+    values = hst.one_of(
+        hst.integers(0, 30).map(float),
+        hst.floats(0.0, 1e300, allow_nan=False, allow_infinity=False),
+    )
+    counts = draw(hnp.arrays(np.float64, shape, elements=values))
+    for feature, value in enumerate(draw(hst.lists(hst.none() | values, min_size=4, max_size=4))):
+        if value is not None:
+            counts[:, feature, :] = value
+    return counts
+
+
+class TestNormalizeBits:
+    """The in-place normalization gives the bits of the ``np.where`` expression."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(counts=count_tensors(), per_player=hst.booleans())
+    def test_same_bits_as_where(self, counts, per_player):
+        winners = np.zeros(counts[:, 0, :].shape, dtype=bool)
+        dataset = Dataset(tuple(map(str, range(len(counts)))), counts, winners, arena_id=11)
+        normalized = normalize_minmax(dataset, per_player=per_player)
+        tensor, constant = normalize_by_where(counts, per_player)
+        assert normalized.tensor.dtype == tensor.dtype == np.float64
+        np.testing.assert_array_equal(normalized.tensor.view(np.int64), tensor.view(np.int64))
+        np.testing.assert_array_equal(normalized.constant_mask, constant)
+
+
 class TestDatasetBuild:
     """The retention rule that ingest applies before building a Dataset."""
 
@@ -485,6 +517,22 @@ def riot_export(n_players, n_matches, seed=0):
     return json.dumps({"matches": matches})
 
 
+class TestIngestMemory:
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    def test_peak_follows_records(self, tmp_path, fmt):
+        # 50,000 records: the reader holds each record once, in typed
+        # columns, and retention adds a few record-length arrays to them
+        spec = SyntheticSpec(n_players=500, group_sizes=(167, 167, 166))
+        generate_synthetic(spec).dataset.write_csv(tmp_path / "d.csv")
+        path = tmp_path / "d.csv"
+        if fmt == "json-lines":
+            path = write(tmp_path, "d.jsonl", csv_to_jsonl(path.read_text(encoding="utf-8")))
+        result = ingest(path, fmt)
+        assert result.records_read == 50_000
+        peak = traced_peak(lambda: ingest(path, fmt))
+        assert peak <= 4.5 * result.dataset.counts.nbytes, (peak, result.dataset.counts.nbytes)
+
+
 class TestRiotMemory:
     def test_peak_below_the_whole_document_reference(self, tmp_path):
         # the reader decodes one match at a time; a parsed tree of the whole
@@ -506,6 +554,65 @@ class TestRiotMemory:
         riot_peak = traced_peak(lambda: ingest(riot, "riot-match-json"))
         csv_peak = traced_peak(lambda: ingest(tmp_path / "d.csv", "csv"))
         assert riot_peak <= 1.5 * csv_peak, (riot_peak, csv_peak)
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts integers of any length")
+class TestIntegerDigitLimit:
+    """A JSON integer past Python's digit limit is invalid JSON, as
+    ``json.loads`` rejects it; in json-lines, with its line."""
+
+    LONG = "9" * (DIGIT_LIMIT + 1)
+
+    def test_json_lines(self, tmp_path):
+        lines = csv_to_jsonl(CSV_FIXTURE).splitlines(keepends=True)
+        lines[2] = lines[2].replace('"assists": 2,', f'"assists": {self.LONG},')
+        path = write(tmp_path, "d.jsonl", "".join(lines))
+        message = "^line 3: invalid JSON: Exceeds the limit"
+        with pytest.raises(MalformedRecord, match=message) as got:
+            ingest(path, "json-lines", n_matches=3)
+        assert got.value.line == 3
+        assert_same_as_reference(path, "json-lines")
+
+    def test_riot_export(self, tmp_path):
+        text = csv_to_riot_json(CSV_FIXTURE)
+        path = write(tmp_path, "d.json", text.replace(": 9500", f": {self.LONG}"))
+        with pytest.raises(MalformedRecord, match="^invalid JSON: Exceeds the limit") as got:
+            ingest(path, "riot-match-json", n_matches=3)
+        assert got.value.line is None
+        assert_same_as_reference(path, "riot-match-json")
+
+
+class TestChunkBoundary:
+    """At the default chunk size, the first bad row in file order raises,
+    with its line, whether it ends one chunk or starts the next."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+    @pytest.mark.parametrize(
+        "bad", [(0,), (1,), (0, 1), (1, 2)], ids=["last", "next", "both", "later"]
+    )
+    def test_first_bad_row_raises(self, tmp_path, fmt, bad):
+        # bad rows among: the last row of the first chunk, the first row of
+        # the second, the last row of the second
+        chunk = data_module._CHUNK
+        bad_rows = [(chunk - 1, chunk, 2 * chunk - 1)[b] for b in bad]
+        rows = [
+            f"p{r // 10},{r % 10},{'x' if r in bad_rows else 1},2,3,4000,1,11"
+            for r in range(3 * chunk)
+        ]
+        text = "\n".join([",".join(CSV_HEADER), *rows, ""])
+        if fmt == "json-lines":
+            text = "".join(
+                json.dumps(dict(zip(CSV_HEADER, row.split(",")))) + "\n" for row in rows
+            )
+        line = bad_rows[0] + (2 if fmt == "csv" else 1)
+        path = write(tmp_path, "export", text)
+        message = f"^line {line}: \\w+ record: assists is not numeric"
+        with pytest.raises(MalformedRecord, match=message):
+            ingest(path, fmt, n_matches=10)
+        assert_same_as_reference(path, fmt)
 
 
 def with_bad_line(text, line_no, newline="\n"):
