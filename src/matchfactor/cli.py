@@ -301,7 +301,8 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], str]:
         ),
     }
     if stats is None:
-        warnings.append("tensor container has no winner metadata; win-rate stats skipped")
+        no_winner = "tensor container has no winner metadata; win-rate stats skipped"
+        warnings.append(report.win_rate_error or no_winner)
     else:
         artifacts["win_rate_kde.csv"] = (
             ["cluster", "win_rate", "density"],

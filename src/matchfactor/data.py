@@ -16,8 +16,10 @@ Input formats
     ``match_index`` is the chronological rank of the match (ties broken by
     file position).  The reader reads the file a block at a time, decodes
     one match at a time and keeps each seat in typed columns, a few bytes
-    per seat, so neither the text nor a parsed document is ever held whole;
-    errors are those of ``json.loads`` on the whole document.
+    per seat, so neither the text nor a parsed document is ever held whole.
+    Invalid UTF-8 anywhere is reported first, then invalid JSON anywhere (as
+    ``json.loads`` reports it), then the first malformed match or seat in
+    list order.
 
 An undecodable line in any of them is a ``MalformedRecord`` with its line
 number.
@@ -30,12 +32,12 @@ records with ``match_index < n_matches`` form a complete history
 first ``n_matches`` matches); everyone else is dropped and counted.
 
 The csv and json-lines readers yield raw rows, parsed a chunk at a time
-and appended to typed columns; the riot reader stages typed columns of
-seats and checks row by row only the seats whose values may be invalid.
-Either way a record is held once, in a few dozen bytes.  ``ingest`` finds
-repeated keys by sorting one integer key per record, drops each column once
-it is used, and scatters the kept rows into the dense arrays of a
-``Dataset`` one feature at a time.
+and appended to typed columns; the riot reader judges each seat where it
+reads it and stages it in typed columns.  Either way the first malformed
+record in file order raises, and a record is held once, in a few dozen
+bytes.  ``ingest`` finds repeated keys by sorting one integer key per
+record, drops each column once it is used, and scatters the kept rows into
+the dense arrays of a ``Dataset`` one feature at a time.
 """
 
 from __future__ import annotations
@@ -104,10 +106,6 @@ class Dataset:
     @property
     def n_matches(self) -> int:
         return self.counts.shape[2]
-
-    def winner_matrix(self) -> np.ndarray:
-        """Binary win/loss matrix of shape (players, matches)."""
-        return self.winners.astype(np.float64)
 
     def write_csv(self, path) -> None:
         counts = np.ascontiguousarray(self.counts, dtype=np.float64)
@@ -332,37 +330,36 @@ def _riot_columns(path) -> tuple:
     """The columns of ``_read_columns`` for a riot export.
 
     A player's ``match_index`` is the chronological rank of the match, ties
-    broken by file position.  The seats that ``_parse_row`` may reject (raw
-    values, or counts out of range) go through it in that order, so the
-    first invalid one raises, as the other readers' first invalid row does.
+    broken by file position.  The staged seats precede the walk's error, if
+    any, and only their counts may be out of range, so the first such seat
+    raises before that error.
     """
-    seats = _riot_seats(path)
-    names = sorted(seats.names)
-    rank = np.zeros(len(names), np.int64)
-    rank[list(map(seats.names.__getitem__, names))] = np.arange(len(names))
+    seats, error = _riot_seats(path)
+    names = list(seats.names)
     player = np.frombuffer(seats.player, np.int64)
-    player[:] = rank[player]  # in the staged buffer: the codes are not needed again
     pos = np.frombuffer(seats.match, np.int64)
     counts = np.frombuffer(seats.counts, np.float64).reshape(-1, len(FEATURES))
     winner = np.frombuffer(seats.win, bool)
+    arena = _int_column(seats.arena)[pos]
+    valid = ((counts >= 0) & (counts < np.inf)).all(axis=1)
+    if not valid.all():
+        seat = int(np.argmin(valid))
+        row = (names[player[seat]], 0, *counts[seat].tolist(), bool(winner[seat]), arena[seat])
+        _parse_row(row, f"match at position {pos[seat]}", None)
+    if error is not None:
+        raise error
     # lexsort is stable: seats of one player and gameCreation keep file order
     order = np.lexsort((_int_column(seats.creation)[pos], player))
     played = np.bincount(player, minlength=len(names))
     match_index = np.empty_like(player)
     match_index[order] = np.arange(player.size)
     match_index -= (np.cumsum(played) - played)[player]
-    arena = _int_column(seats.arena)[pos]
-    valid = ((counts >= 0) & (counts < np.inf)).all(axis=1)
-    for seat in order[~valid[order]].tolist():
-        values = seats.raw.get(seat) or [*counts[seat].tolist(), bool(winner[seat])]
-        row = (names[player[seat]], int(match_index[seat]), *values, arena[seat])
-        row = _parse_row(row, f"match at position {pos[seat]}", None)
-        counts[seat], winner[seat] = row[2:6], row[6]
     return names, player, match_index, counts.T, winner, arena
 
 
-def _riot_seats(path) -> _Seats:
-    """The seats of a riot export's last ``matches`` list.
+def _riot_seats(path) -> tuple:
+    """The seats of a riot export's last ``matches`` list and the first
+    error of its matches, or None.
 
     Reads the export a block at a time and decodes one match at a time, so
     neither the whole text nor a parsed document is ever held.  Invalid
@@ -379,9 +376,7 @@ def _riot_seats(path) -> _Seats:
         seats = None
     if seats is None:
         raise MalformedRecord("riot-match-json file must hold a 'matches' list")
-    if error is not None:
-        raise error
-    return seats
+    return seats, error
 
 
 def _raise_whole_text_error(path) -> None:
@@ -448,12 +443,11 @@ def _walk_riot_document(win: _Window) -> tuple:
     (None without one) and the first error of its matches.  Raises
     ``ValueError`` where the text is not a single JSON object."""
     seats = error = None
-    names: dict[str, int] = {}  # player name -> code, across every matches list
     more, i = win.step(_open_object, 0)
     while more:
         key, i = win.step(_member_key, i)
         if key == "matches" and win.text[i : i + 1] == "[":
-            seats, error, i = _walk_matches(win, i + 1, names)
+            seats, error, i = _walk_matches(win, i + 1)
             more, i = win.step(_next_item, i, "}")
         else:
             if key == "matches":
@@ -463,11 +457,11 @@ def _walk_riot_document(win: _Window) -> tuple:
     return seats, error
 
 
-def _walk_matches(win: _Window, i: int, names: dict[str, int]) -> tuple:
+def _walk_matches(win: _Window, i: int) -> tuple:
     """The seats and first error of the matches list that starts after its
     ``[`` at ``i``, and the index past its ``]``.  After an error, matches
     are decoded but not staged."""
-    seats, error = _Seats(names), None
+    seats, error = _Seats(), None
     more, i = win.step(_first_item, i, "]")
     pos = 0
     while more:
@@ -537,7 +531,6 @@ def _next_item(text: str, i: int, close: str) -> tuple[bool, int]:
 
 # the stats a seat keeps, in the order of CSV_HEADER[2:7]
 _STATS = ("assists", "deaths", "kills", "goldEarned", "win")
-_UNPARSED = (np.nan,) * len(FEATURES)
 
 
 class _Seats:
@@ -545,21 +538,19 @@ class _Seats:
 
     Per seat: the player's code in ``names``, the match's list position,
     the four counts and ``win``; per match: ``gameCreation`` and ``mapId``.
-    A seat whose counts are not all numbers that fit a float, or whose
-    ``win`` is not a boolean, keeps its raw stats in ``raw`` (by seat) and
-    NaN counts, for ``_parse_row`` to judge.
+    Each match and seat is judged as it is staged, except for counts out of
+    range, which ``_riot_columns`` finds among the staged seats at once.
     """
 
-    def __init__(self, names: dict[str, int]):
+    def __init__(self):
         # imported here, so that no stage but an ingest maps the module
         from array import array
 
-        self.names = names
+        self.names: dict[str, int] = {}
         self.player, self.match = array("q"), array("q")
         self.counts, self.win = array("d"), bytearray()
         self.creation: list[int] = []
         self.arena: list[int] = []
-        self.raw: dict[int, list] = {}
 
     def add(self, match, pos: int) -> None:
         """Stage the seats of the riot match at list position ``pos``.  A
@@ -567,7 +558,8 @@ class _Seats:
         where = f"match {pos}"
         if not isinstance(match, dict):
             raise MalformedRecord(f"{where}: not an object")
-        self.arena.append(_parse_int(match.get("mapId"), "mapId", where, None))
+        arena = _parse_int(match.get("mapId"), "mapId", where, None)
+        self.arena.append(arena)
         self.creation.append(
             _parse_int(match.get("gameCreation", pos), "gameCreation", where, None)
         )
@@ -578,7 +570,7 @@ class _Seats:
                 player = (ident.get("player") or {}).get("summonerName")
                 if pid is None or not player:
                     raise MalformedRecord(f"{where}: incomplete participant identity")
-                identities[pid] = self.names.setdefault(str(player), len(self.names))
+                identities[pid] = str(player)
             for part in match.get("participants", []):
                 pid = part.get("participantId")
                 if pid not in identities:
@@ -588,18 +580,18 @@ class _Seats:
                 if None in values:
                     missing = [k for k, v in zip(CSV_HEADER[2:7], values) if v is None]
                     raise MalformedRecord(f"{where}: missing fields {missing}")
-                seat = len(self.win)
+                player = identities[pid]
                 win = values.pop()
                 try:
                     if win is not True and win is not False:
                         raise TypeError("win is not a boolean")
-                    self.counts.extend(values)  # a non-number, or an int past a float, raises
-                except (TypeError, OverflowError):
-                    del self.counts[len(FEATURES) * seat :]
-                    self.counts.extend(_UNPARSED)
-                    self.raw[seat] = [*values, win]
-                self.win.append(win is True)
-                self.player.append(identities[pid])
+                    self.counts.fromlist(values)  # a non-number, or an int past a float, raises
+                except (TypeError, OverflowError):  # and leaves the counts as they were
+                    row = (player, 0, *values, win, arena)
+                    *values, win = _parse_row(row, f"match at position {pos}", None)[2:7]
+                    self.counts.fromlist(values)
+                self.win.append(win)
+                self.player.append(self.names.setdefault(player, len(self.names)))
                 self.match.append(pos)
         except (AttributeError, TypeError):  # a non-object, or a list as participantId
             raise MalformedRecord(

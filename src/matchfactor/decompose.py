@@ -114,9 +114,6 @@ class FactorModel:
     def dims(self) -> tuple[int, int, int]:
         return tuple(f.shape[0] for f in self.factors)
 
-    def reconstruct(self) -> np.ndarray:
-        return kruskal_tensor(self.weights, *self.factors)
-
 
 @dataclass(frozen=True)
 class RestartRecord:

@@ -86,7 +86,6 @@ class FeatureSignature:
     """Per component: the features retained by the squared-norm fraction rule."""
 
     fraction: float
-    n_features: int
     retained_indices: tuple[tuple[int, ...], ...]
     retained_values: tuple[tuple[float, ...], ...]
     empty_components: tuple[int, ...]
@@ -94,15 +93,6 @@ class FeatureSignature:
     @property
     def n_components(self) -> int:
         return len(self.retained_indices)
-
-    def mask_matrix(self) -> np.ndarray:
-        """Dense feature-by-component matrix with non-retained entries zeroed."""
-        out = np.zeros((self.n_features, self.n_components))
-        for r, (idx, vals) in enumerate(
-            zip(self.retained_indices, self.retained_values)
-        ):
-            out[list(idx), r] = vals
-        return out
 
 
 def feature_membership(
@@ -147,7 +137,6 @@ def feature_membership(
 
     return FeatureSignature(
         fraction=fraction,
-        n_features=b.shape[0],
         retained_indices=tuple(retained_indices),
         retained_values=tuple(retained_values),
         empty_components=tuple(empty),
@@ -567,7 +556,12 @@ def win_rate_stats(
         rows = w[labels == c]
         samples.append(rows.mean(axis=1) if mode == "player-mean" else rows.ravel())
 
-    bandwidths = [silverman_bandwidth(s) for s in samples]
+    bandwidths = []
+    for c, s in zip(clusters, samples):
+        try:
+            bandwidths.append(silverman_bandwidth(s))
+        except (ValueError, ConstantColumn) as exc:
+            raise type(exc)(f"cluster {c}: {exc}") from None
     grid = kde_grid(np.concatenate(samples), max(bandwidths))
     densities = np.stack(
         [kde_gaussian(s, grid, bandwidth=h) for s, h in zip(samples, bandwidths)]
@@ -605,6 +599,7 @@ class Analysis:
     profile: ClusterTrajectories
     trajectories: ClusterTrajectories
     win_rates: WinRateStats | None
+    win_rate_error: str | None  # why ``win_rates`` is None although a winner matrix was given
 
 
 def analyze(
@@ -621,9 +616,11 @@ def analyze(
     Players are clustered at ``k`` (default: the rank) and, for a silhouette
     sweep, at every other k in ``rank - 1 .. rank + 2``, seeded with
     ``cfg.seed``; ``sweep`` holds the k values that clustered and
-    ``sweep_warnings`` why the others did not.  Every argument is checked
-    before the first fit.  Failed restarts stay in ``records``; nothing is
-    printed.
+    ``sweep_warnings`` why the others did not.  Win-rate stats that a
+    cluster cannot give (one player, or no spread in its win rates) leave
+    ``win_rates`` None and say why in ``win_rate_error``.  Every argument is
+    checked before the first fit.  Failed restarts stay in ``records``;
+    nothing is printed.
     """
     cfg = cfg or DecomposeConfig()
     t = _validate_decompose_inputs(t, [rank])
@@ -647,6 +644,12 @@ def analyze(
             sweep.append(kmeans(users, other, seed=cfg.seed))
         except EmptyClusterUnrecoverable as exc:
             sweep_warnings.append(f"k={other} clustering failed: {type(exc).__name__}: {exc}")
+    win_rates = win_rate_error = None
+    if winner is not None:
+        try:
+            win_rates = win_rate_stats(winner, clusters.labels, kde_mode)
+        except (ValueError, ConstantColumn) as exc:
+            win_rate_error = f"win-rate stats skipped: {exc}"
 
     return Analysis(
         records=scan.records,
@@ -657,5 +660,6 @@ def analyze(
         sweep_warnings=tuple(sweep_warnings),
         profile=temporal_modulation(model, clusters.labels),
         trajectories=cluster_feature_trajectories(t, clusters.labels),
-        win_rates=None if winner is None else win_rate_stats(winner, clusters.labels, kde_mode),
+        win_rates=win_rates,
+        win_rate_error=win_rate_error,
     )

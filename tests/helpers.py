@@ -315,15 +315,15 @@ def _records_from_riot_match_json(path):
             missing = [k for k, v in row.items() if v is None]
             if missing:
                 raise MalformedRecord(f"{where}: missing fields {missing}")
-            staged.append((creation, pos, row))
-    staged.sort(key=lambda item: (item[2]["player_id"], item[0], item[1]))
+            rec = _record_from_mapping(row, f"match at position {pos}", None)
+            staged.append((creation, pos, rec))
+    # matches are numbered per player in (gameCreation, position) order
+    staged.sort(key=lambda item: (item[2].player_id, item[0], item[1]))
     records = []
     counters = {}
-    for creation, pos, row in staged:
-        player = row["player_id"]
-        row["match_index"] = counters.get(player, 0)
-        counters[player] = row["match_index"] + 1
-        records.append(_record_from_mapping(row, f"match at position {pos}", None))
+    for _, _, rec in staged:
+        records.append(rec._replace(match_index=counters.get(rec.player_id, 0)))
+        counters[rec.player_id] = records[-1].match_index + 1
     return records
 
 

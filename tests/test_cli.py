@@ -587,18 +587,19 @@ class TestAnalyze:
         )
         assert not (out / "factor_model.json").exists()
 
-    @pytest.mark.parametrize("case", ["--k 0", "--membership-fraction 2", "all-zero winner"])
+    @pytest.mark.parametrize("case", ["--k 0", "--membership-fraction 2", "unpopulated k"])
     def test_failed_stage_leaves_out_dir_as_it_was(self, tmp_path, capsys, case):
-        # each case fails late: after the fit, with artifacts already computed
+        # a flag fails before the fit; k-means fails after it, with the model
+        # already computed
         out = synth_and_ingest(tmp_path)
         assert self.analyze(out) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         capsys.readouterr()
-        if case == "all-zero winner":
-            t, metadata = load_tensor3(out / "tensor.json")
-            container = tmp_path / "zero_winner.json"
-            winner = np.zeros_like(metadata["winner"]).tolist()
-            save_tensor3(container, t, {**metadata, "winner": winner})
+        if case == "unpopulated k":
+            # two distinct players: k-means cannot populate the rank's 3 clusters
+            rows = np.random.default_rng(5).uniform(0.1, 1.0, size=(2, 4, 10))
+            container = tmp_path / "two_players.json"
+            save_tensor3(container, rows[np.repeat([0, 1], 6)])
             code = self.analyze(out, "--input", container)  # the last --input counts
         else:
             code = self.analyze(out, *case.split())
@@ -691,6 +692,35 @@ class TestAnalyze:
         assert self.analyze(out, "--kde-mode", "raw") == 0
         tests = json.loads((out / "win_rate_tests.json").read_text())
         assert tests["mode"] == "raw"
+
+    def test_cluster_without_bandwidth_skips_win_rates(self, tmp_path, capsys):
+        # at k=20 over 36 players some cluster holds one player, whose one
+        # win rate has no Silverman bandwidth
+        out = synth_and_ingest(tmp_path)
+        capsys.readouterr()
+        assert self.analyze(out, "--k", 20) == 0
+        err = capsys.readouterr().err.splitlines()
+        summary = json.loads((out / "analyze_summary.json").read_text())
+        assert len(err) == 1 and err[0] == f"warning: {summary['warnings'][0]}"
+        reason = re.fullmatch(
+            r"win-rate stats skipped: cluster (\d+): bandwidth selection needs at least two values",
+            summary["warnings"][0],
+        )
+        assert reason and summary["cluster_sizes"][int(reason[1])] == 1
+        assert summary["warnings"] == [reason[0]]
+        assert not (out / "win_rate_kde.csv").exists()
+        assert not (out / "win_rate_tests.json").exists()
+        for name in ("factor_model.json", "clusters.json", "feature_trajectories.csv"):
+            assert (out / name).exists(), name
+
+    def test_constant_win_rates_skip_win_rates(self, tmp_path):
+        t, _ = load_tensor3(synth_and_ingest(tmp_path) / "tensor.json")
+        cfg = matchfactor.DecomposeConfig(n_restarts=2, max_outer_iters=120)
+        report = matchfactor.analyze(t, 3, cfg, winner=np.ones((t.shape[0], t.shape[2])))
+        assert report.win_rates is None
+        assert report.win_rate_error == (
+            "win-rate stats skipped: cluster 0: zero-variance sample has no data-driven bandwidth"
+        )
 
     def test_pathological_k_warns_but_succeeds(self, tmp_path, capsys):
         # three exactly repeated behavior rows: extra k values cannot populate

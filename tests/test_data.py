@@ -331,7 +331,7 @@ class TestDatasetBuild:
 
     def test_winner_matrix(self, tmp_path):
         result = ingest(write(tmp_path, "d.csv", CSV_FIXTURE), "csv", n_matches=3)
-        w = result.dataset.winner_matrix()
+        w = result.dataset.winners
         np.testing.assert_array_equal(w, [[1, 0, 1], [0, 1, 0]])
 
 
@@ -477,6 +477,59 @@ class TestRiotShapes:
         path = write(tmp_path, "d.json", "[" * 100_000 + "]" * 100_000)
         with pytest.raises(MalformedRecord, match="invalid JSON: maximum recursion depth"):
             ingest(path, fmt, n_matches=3)
+
+
+def two_seat_matches(n_matches):
+    """Riot matches of "zed" (seat 1, who wins) and "amy" (seat 2)."""
+    return [
+        {
+            "mapId": 11,
+            "gameCreation": 1000 + k,
+            "participantIdentities": [
+                {"participantId": seat, "player": {"summonerName": name}}
+                for seat, name in ((1, "zed"), (2, "amy"))
+            ],
+            "participants": [
+                {
+                    "participantId": seat,
+                    "stats": {"assists": 1, "deaths": 2, "kills": 3, "goldEarned": 400,
+                              "win": seat == 1},
+                }
+                for seat in (1, 2)
+            ],
+        }
+        for k in range(n_matches)
+    ]
+
+
+class TestRiotErrorOrder:
+    """The first malformed match or seat in list order raises, as the first
+    malformed row does in csv and json-lines."""
+
+    @pytest.mark.parametrize(
+        "without_map_id", [True, False], ids=["missing-map-id", "all-map-ids"]
+    )
+    def test_first_fault_in_list_order(self, tmp_path, without_map_id):
+        # zed's seat in match 0 comes before amy's in match 1 and match 2
+        matches = two_seat_matches(3)
+        matches[0]["participants"][0]["stats"]["assists"] = -1
+        matches[1]["participants"][1]["stats"]["kills"] = "x"
+        if without_map_id:
+            del matches[2]["mapId"]
+        path = write(tmp_path, "d.json", json.dumps({"matches": matches}))
+        message = "^match at position 0: assists must be a non-negative number$"
+        with pytest.raises(MalformedRecord, match=message):
+            ingest(path, "riot-match-json", n_matches=3)
+        assert_same_as_reference(path, "riot-match-json")
+
+    def test_seat_before_a_later_match(self, tmp_path):
+        matches = two_seat_matches(3)
+        matches[1]["participants"][1]["stats"]["kills"] = "x"
+        del matches[2]["mapId"]
+        path = write(tmp_path, "d.json", json.dumps({"matches": matches}))
+        with pytest.raises(MalformedRecord, match=r"^match at position 1: kills is not numeric"):
+            ingest(path, "riot-match-json", n_matches=3)
+        assert_same_as_reference(path, "riot-match-json")
 
 
 def riot_export(n_players, n_matches, seed=0):

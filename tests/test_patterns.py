@@ -93,12 +93,11 @@ class TestFeatureMembership:
         assert sig.empty_components == (1,)
         assert sig.retained_indices[1] == ()
 
-    def test_mask_matrix(self):
+    def test_retains_the_dominant_feature(self):
         b = np.array([[0.9, 0.1], [0.1, 0.9]])
         sig = feature_membership(b, fraction=0.9)
-        mask = sig.mask_matrix()
-        assert mask[0, 0] == 0.9 and mask[1, 1] == 0.9
-        assert mask[1, 0] == 0.0 and mask[0, 1] == 0.0
+        assert sig.retained_indices == ((0,), (1,))
+        assert sig.retained_values == ((0.9,), (0.9,))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -466,6 +465,19 @@ class TestWinRateStats:
         stats = win_rate_stats(winners, labels, mode="raw")
         assert stats.mode == "raw"
         assert (stats.densities >= 0).all()
+
+    @pytest.mark.parametrize(
+        "winners, error, message",
+        [
+            ([[1, 0], [1, 1], [1, 1]], ValueError, "cluster 1: bandwidth selection needs"),
+            ([[1, 0], [1, 1], [0, 1], [0, 1]], ConstantColumn, "cluster 1: zero-variance"),
+        ],
+        ids=["one-player", "one-win-rate"],
+    )
+    def test_cluster_without_bandwidth_is_named(self, winners, error, message):
+        labels = [0, 0] + [1] * (len(winners) - 2)
+        with pytest.raises(error, match=f"^{message}"):
+            win_rate_stats(np.array(winners), np.array(labels))
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):

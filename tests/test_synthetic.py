@@ -138,7 +138,7 @@ class TestEndToEndRecovery:
             result = generate_synthetic(
                 small_spec(seed=seed, n_players=90, group_sizes=(30, 30, 30))
             )
-            w = result.dataset.winner_matrix()
+            w = result.dataset.winners
             means = [w[result.labels == g].mean(axis=1) for g in range(3)]
             pvals = [
                 welch_t_test(means[a], means[b])[1]
