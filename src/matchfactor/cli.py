@@ -140,7 +140,7 @@ def cmd_ingest(args: argparse.Namespace) -> tuple[dict, list[str], str]:
 
 
 def cmd_rank_scan(args: argparse.Namespace) -> tuple[dict, list[str], str]:
-    t, _ = load_tensor3(args.input)
+    t = load_tensor3(args.input)[0]  # the metadata, winner lists and all, is freed at once
     result = rank_scan(t, _parse_ranks(args.ranks), _decompose_config(args))
     if all(rec.failed for rec in result.records):
         first = result.records[0].error
@@ -247,6 +247,7 @@ def _clustering_doc(assign) -> dict:
 def cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], str]:
     t, metadata = load_tensor3(args.input)
     feature_names, player_ids, winner = _container_metadata(args.input, metadata, t.shape)
+    del metadata  # its winner lists, held through every fit otherwise
     rank = args.rank if args.rank is not None else _selected_rank(args.out_dir, args.input)
     report = analyze(
         t, rank, _decompose_config(args), k=args.k, fraction=args.membership_fraction,

@@ -45,15 +45,25 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
-import re
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from json.decoder import scanstring
 
 import numpy as np
 
 from .errors import DuplicateKey, MalformedRecord, NoPlayersRetained
-from .tensor import _formatted_slices
+from .tensor import (
+    _Window,
+    _check_decoded,
+    _decode,
+    _document_end,
+    _escaped_byte,
+    _first_item,
+    _formatted_slices,
+    _item,
+    _member_key,
+    _next_item,
+    _open_object,
+)
 
 FEATURES = ("assists", "deaths", "kills", "gold")
 
@@ -70,17 +80,6 @@ CSV_HEADER = (
 
 # rows parsed at once: bounds the raw values held while reading
 _CHUNK = 1024
-
-# characters of a riot export read at once: bounds the text held
-_BLOCK = 1 << 18
-
-# one JSON value at an index, as json.loads decodes it; and the whitespace
-# JSON allows between tokens
-_decode = json.JSONDecoder().raw_decode
-_space = re.compile(r"[ \t\n\r]*").match
-
-# a byte that is not UTF-8, as the ``surrogateescape`` error handler decodes it
-_escaped_byte = re.compile(r"[\udc80-\udcff]").search
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,53 +390,6 @@ def _raise_whole_text_error(path) -> None:
         raise MalformedRecord(f"invalid JSON: {exc}") from None
 
 
-def _check_decoded(text: str, line: int) -> None:
-    """Raise ``MalformedRecord`` at the first undecodable byte of ``text``,
-    read with newlines translated and starting on line ``line``."""
-    bad = None if text.isascii() else _escaped_byte(text)
-    if bad:  # each line ends in one "\n"
-        raise MalformedRecord("invalid UTF-8", line + text.count("\n", 0, bad.start()))
-
-
-class _Window:
-    """The unread tail of a text file, read ``_BLOCK`` characters at a time.
-
-    Each block is checked for undecodable bytes as it is read; lines are
-    counted across blocks, so the error names the line of the whole text.
-    """
-
-    def __init__(self, fh):
-        self._fh = fh
-        self._lines = 0
-        self.text = ""
-        self.eof = False
-
-    def read(self, i: int) -> None:
-        """Drop the text before ``i`` and append the next block."""
-        block = self._fh.read(_BLOCK)
-        _check_decoded(block, self._lines + 1)
-        self._lines += block.count("\n")
-        self.text = self.text[i:] + block
-        self.eof = not block
-
-    def step(self, parse, i: int, *args) -> tuple:
-        """``parse(text, i, *args)``, which returns ``(value, end)``, on
-        enough of the text.  While it fails, or ends at the end of the
-        window (where a whitespace run or a number may go on), read a block
-        and try again from ``i``.  The end returned indexes the current
-        ``text``."""
-        while True:
-            try:
-                value, end = parse(self.text, i, *args)
-                if end < len(self.text) or self.eof:
-                    return value, end
-            except ValueError:  # cut short, or invalid
-                if self.eof:
-                    raise
-            self.read(i)
-            i = 0
-
-
 def _walk_riot_document(win: _Window) -> tuple:
     """Seats of the last ``matches`` list of the JSON object in ``win``
     (None without one) and the first error of its matches.  Raises
@@ -473,60 +425,6 @@ def _walk_matches(win: _Window, i: int) -> tuple:
                 error = exc
         pos += 1
     return seats, error, i
-
-
-def _open_object(text: str, i: int) -> tuple[bool, int]:
-    """``_first_item`` of the object that opens after the whitespace at ``i``."""
-    i = _space(text, i).end()
-    if text[i : i + 1] != "{":
-        raise ValueError("expecting '{'")
-    return _first_item(text, i + 1, "}")
-
-
-def _member_key(text: str, i: int) -> tuple[str, int]:
-    """The key of the object member at ``i`` and the start of its value."""
-    if text[i : i + 1] != '"':
-        raise ValueError("expecting a key")
-    key, i = scanstring(text, i + 1)
-    i = _space(text, i).end()
-    if text[i : i + 1] != ":":
-        raise ValueError("expecting ':'")
-    return key, _space(text, i + 1).end()
-
-
-def _item(text: str, i: int, close: str) -> tuple:
-    """``((value, more), end)``: the value at ``i``, then ``_next_item``.
-    One step, as a number cut inside its fraction or exponent decodes as
-    a shorter one, which only the character after it shows."""
-    value, i = _decode(text, i)
-    more, i = _next_item(text, i, close)
-    return (value, more), i
-
-
-def _document_end(text: str, i: int) -> tuple[None, int]:
-    """Past the whitespace at ``i``, which must end the text."""
-    i = _space(text, i).end()
-    if i != len(text):
-        raise ValueError("extra data")
-    return None, i
-
-
-def _first_item(text: str, i: int, close: str) -> tuple[bool, int]:
-    """After an opening bracket that ends at ``i``: ``(True, start of the
-    first item)``, or ``(False, end)`` past the closing bracket."""
-    i = _space(text, i).end()
-    return (False, i + 1) if text[i : i + 1] == close else (True, i)
-
-
-def _next_item(text: str, i: int, close: str) -> tuple[bool, int]:
-    """After an item that ends at ``i``: ``(True, start of the next item)``
-    past a comma, or ``(False, end)`` past the closing bracket."""
-    i = _space(text, i).end()
-    if text[i : i + 1] == ",":
-        return True, _space(text, i + 1).end()
-    if text[i : i + 1] == close:
-        return False, i + 1
-    raise ValueError(f"expecting ',' or {close!r}")
 
 
 # the stats a seat keeps, in the order of CSV_HEADER[2:7]

@@ -34,7 +34,7 @@ _KMEANS_TOL = 1e-6
 _RESEED_BUDGET = 10
 
 # Rows of the block-by-all-points distance matrix ``silhouette`` holds at once.
-_SILHOUETTE_BLOCK = 128
+_SILHOUETTE_BLOCK = 32
 
 # KDE evaluation grid: points, and the bandwidths it extends past the data;
 # ``kde_gaussian`` evaluates it a few rows at a time (rows x samples floats).
@@ -273,9 +273,13 @@ def silhouette(points: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarra
     members = [own == c for c in range(clusters.size)]
     coords = np.ascontiguousarray(points.T)
     sums = np.empty((n, clusters.size))
-    for start in range(0, n, _SILHOUETTE_BLOCK):
-        rows = slice(start, min(start + _SILHOUETTE_BLOCK, n))
-        d = np.zeros((rows.stop - start, n))
+    # a lone last row joins the block before it: numpy sums a block's
+    # distances to a cluster member by member, but along a lone row
+    # pairwise, which would give that row's sums other bits
+    starts = list(range(0, n - 1, _SILHOUETTE_BLOCK))
+    for start, stop in zip(starts, starts[1:] + [n]):
+        rows = slice(start, stop)
+        d = np.zeros((stop - start, n))
         diff = np.empty_like(d)
         for x in coords:
             np.subtract(x[rows, None], x, out=diff)
@@ -318,19 +322,29 @@ class ClusterTrajectories:
     cluster_sizes: tuple[int, ...]
 
 
-def _cluster_series(t: np.ndarray, labels: np.ndarray) -> ClusterTrajectories:
-    """Mean and standard error of the rows of ``t`` in each cluster of ``labels``."""
+def _cluster_series(labels: np.ndarray, shape: tuple[int, int], series) -> ClusterTrajectories:
+    """Mean and standard error over the members of each cluster of ``labels``
+    of the ``shape`` = (J, K) series whose series ``j`` of players ``members``
+    is the (members x K) matrix ``series(members, j)``.
+
+    One cluster and series is held at a time.  Each reduction runs over the
+    member rows in order, as it would over the whole (members x J x K)
+    array, so the bits are the same except where K is 1 and J is not: numpy
+    adds a (members x 1) column pairwise, not row by row.
+    """
     clusters = np.unique(labels)
-    means = np.zeros((clusters.size, *t.shape[1:]))
+    means = np.zeros((clusters.size, *shape))
     stderrs = np.zeros_like(means)
     sizes = []
     for ci, c in enumerate(clusters):
-        rows = t[labels == c]
-        n = rows.shape[0]
+        members = np.flatnonzero(labels == c)
+        n = members.size
         sizes.append(n)
-        means[ci] = rows.mean(axis=0)
-        if n > 1:
-            stderrs[ci] = rows.std(axis=0, ddof=1) / np.sqrt(n)
+        for j in range(shape[0]):
+            rows = series(members, j)
+            means[ci, j] = rows.mean(axis=0)
+            if n > 1:
+                stderrs[ci, j] = rows.std(axis=0, ddof=1) / np.sqrt(n)
     return ClusterTrajectories(means=means, stderrs=stderrs, cluster_sizes=tuple(sizes))
 
 
@@ -340,11 +354,15 @@ def temporal_modulation(model: FactorModel, labels: np.ndarray) -> ClusterTrajec
     For component ``r`` the user-by-time matrix is
     ``weights[r] * outer(users[:, r], time[:, r])``; each cluster contributes
     the mean over its member rows at every time step plus the standard error.
+    Only one cluster's rows of one component are formed at a time.
     """
     users, _, time = model.factors
     labels = _as_labels(labels, users.shape[0], "user")
-    membership = model.weights[None, :, None] * (users[:, :, None] * time.T[None])
-    return _cluster_series(membership, labels)
+
+    def membership(members, r):
+        return model.weights[r] * (users[members, r][:, None] * time[:, r])
+
+    return _cluster_series(labels, (model.rank, time.shape[0]), membership)
 
 
 def cluster_feature_trajectories(
@@ -352,7 +370,8 @@ def cluster_feature_trajectories(
 ) -> ClusterTrajectories:
     """Per-cluster raw feature trajectories (validation view, not factorized)."""
     t = as_tensor3(t)
-    return _cluster_series(t, _as_labels(labels, t.shape[0], "player"))
+    labels = _as_labels(labels, t.shape[0], "player")
+    return _cluster_series(labels, t.shape[1:], lambda members, j: t[members, j])
 
 
 # ---------------------------------------------------------------------------

@@ -170,11 +170,18 @@ def as_factor_model(
 def apply_relative_noise(
     tensor: np.ndarray, level: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Multiplicative Gaussian perturbation, clipped so entries stay >= 0."""
+    """Multiplicative Gaussian perturbation, clipped so entries stay >= 0.
+
+    Returns a new array, formed in place on the draw, except at level 0,
+    where it returns ``tensor`` itself; ``tensor`` is never modified.
+    """
     if level == 0.0:
         return tensor
-    jitter = np.clip(1.0 + level * rng.standard_normal(tensor.shape), 0.0, None)
-    return tensor * jitter
+    jitter = rng.standard_normal(tensor.shape)
+    jitter *= level
+    jitter += 1.0
+    np.clip(jitter, 0.0, None, out=jitter)
+    return np.multiply(tensor, jitter, out=jitter)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
@@ -199,9 +206,11 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     tensor = kruskal_tensor(np.ones(spec.rank), users, features, time)
     scales = np.asarray(spec.feature_scales)
     with np.errstate(over="ignore", invalid="ignore"):  # a huge value overflows: checked below
-        counts = apply_relative_noise(tensor, spec.noise, rng) * scales[None, :, None]
+        # in place: at level 0 the noise step returns this function's own tensor
+        counts = apply_relative_noise(tensor, spec.noise, rng)
+        counts *= scales[None, :, None]
         if not spec.exact:
-            counts = np.round(counts)
+            np.round(counts, out=counts)
         # express the truth in post-normalization coordinates: the pipeline will
         # rescale feature j by (max - min) of its counts
         span = counts.max(axis=(0, 2)) - counts.min(axis=(0, 2))

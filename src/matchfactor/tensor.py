@@ -16,19 +16,48 @@ convention the mode-1 unfolding of a Kruskal tensor with factors
 
 Modes are numbered 1..3, matching the convention used throughout the tensor
 literature.
+
+Container
+---------
+``save_tensor3`` writes one JSON object (dims, layout, format version,
+metadata, and the values flat with the first index slowest), formatting
+the values a slice at a time.  ``load_tensor3`` walks the file
+``_BLOCK`` characters at a time: each member but ``values`` is decoded
+whole, and ``values`` one block of numbers at a time, by json's own
+scanner, into one float64 array, so the tensor is held about once and
+never as a list of Python floats.  A file the walk does not take (invalid
+JSON or UTF-8, or a value that is not a number that fits a float) is read
+again whole through ``json.load``, on that path only, so that every error
+is the one the whole document gives.  The riot reader in ``data`` walks
+its exports with the same ``_Window``.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from json.decoder import scanstring
 from pathlib import Path
 
 import numpy as np
+
+from .errors import MalformedRecord
 
 _TENSOR_FORMAT = "dense-tensor3"
 _TENSOR_VERSION = 1
 # the values formatted and held as text at once by the writers
 _SLICE = 1 << 15
+
+# characters of a JSON file that the walk reads at once: bounds the text held
+_BLOCK = 1 << 18
+
+# one JSON value at an index, as json.loads decodes it; and the whitespace
+# JSON allows between tokens
+_decode = json.JSONDecoder().raw_decode
+_space = re.compile(r"[ \t\n\r]*").match
+
+# a byte that is not UTF-8, as the ``surrogateescape`` error handler decodes it
+_escaped_byte = re.compile(r"[\udc80-\udcff]").search
 
 
 def as_tensor3(values, require_nonnegative: bool = False) -> np.ndarray:
@@ -180,6 +209,111 @@ def save_tensor3(path, t: np.ndarray, metadata: dict | None = None) -> None:
         fh.write(f'], "version": {_TENSOR_VERSION}}}\n')
 
 
+# ---------------------------------------------------------------------------
+# the JSON walker: one value at a time from a file read a block at a time
+
+
+def _check_decoded(text: str, line: int) -> None:
+    """Raise ``MalformedRecord`` at the first undecodable byte of ``text``,
+    read with newlines translated and starting on line ``line``."""
+    bad = None if text.isascii() else _escaped_byte(text)
+    if bad:  # each line ends in one "\n"
+        raise MalformedRecord("invalid UTF-8", line + text.count("\n", 0, bad.start()))
+
+
+class _Window:
+    """The unread tail of a text file, read ``_BLOCK`` characters at a time.
+
+    Each block is checked for undecodable bytes as it is read; lines are
+    counted across blocks, so the error names the line of the whole text.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._lines = 0
+        self.text = ""
+        self.eof = False
+
+    def read(self, i: int) -> None:
+        """Drop the text before ``i`` and append the next block."""
+        block = self._fh.read(_BLOCK)
+        _check_decoded(block, self._lines + 1)
+        self._lines += block.count("\n")
+        self.text = self.text[i:] + block
+        self.eof = not block
+
+    def step(self, parse, i: int, *args) -> tuple:
+        """``parse(text, i, *args)``, which returns ``(value, end)``, on
+        enough of the text.  While it fails, or ends at the end of the
+        window (where a whitespace run or a number may go on), read a block
+        and try again from ``i``.  The end returned indexes the current
+        ``text``."""
+        while True:
+            try:
+                value, end = parse(self.text, i, *args)
+                if end < len(self.text) or self.eof:
+                    return value, end
+            except ValueError:  # cut short, or invalid
+                if self.eof:
+                    raise
+            self.read(i)
+            i = 0
+
+
+def _open_object(text: str, i: int) -> tuple[bool, int]:
+    """``_first_item`` of the object that opens after the whitespace at ``i``."""
+    i = _space(text, i).end()
+    if text[i : i + 1] != "{":
+        raise ValueError("expecting '{'")
+    return _first_item(text, i + 1, "}")
+
+
+def _member_key(text: str, i: int) -> tuple[str, int]:
+    """The key of the object member at ``i`` and the start of its value."""
+    if text[i : i + 1] != '"':
+        raise ValueError("expecting a key")
+    key, i = scanstring(text, i + 1)
+    i = _space(text, i).end()
+    if text[i : i + 1] != ":":
+        raise ValueError("expecting ':'")
+    return key, _space(text, i + 1).end()
+
+
+def _item(text: str, i: int, close: str) -> tuple:
+    """``((value, more), end)``: the value at ``i``, then ``_next_item``.
+    One step, as a number cut inside its fraction or exponent decodes as
+    a shorter one, which only the character after it shows."""
+    value, i = _decode(text, i)
+    more, i = _next_item(text, i, close)
+    return (value, more), i
+
+
+def _document_end(text: str, i: int) -> tuple[None, int]:
+    """Past the whitespace at ``i``, which must end the text."""
+    i = _space(text, i).end()
+    if i != len(text):
+        raise ValueError("extra data")
+    return None, i
+
+
+def _first_item(text: str, i: int, close: str) -> tuple[bool, int]:
+    """After an opening bracket that ends at ``i``: ``(True, start of the
+    first item)``, or ``(False, end)`` past the closing bracket."""
+    i = _space(text, i).end()
+    return (False, i + 1) if text[i : i + 1] == close else (True, i)
+
+
+def _next_item(text: str, i: int, close: str) -> tuple[bool, int]:
+    """After an item that ends at ``i``: ``(True, start of the next item)``
+    past a comma, or ``(False, end)`` past the closing bracket."""
+    i = _space(text, i).end()
+    if text[i : i + 1] == ",":
+        return True, _space(text, i + 1).end()
+    if text[i : i + 1] == close:
+        return False, i + 1
+    raise ValueError(f"expecting ',' or {close!r}")
+
+
 def _read_json(path):
     """The document of a JSON file; invalid JSON or UTF-8 raises ``ValueError`` naming it."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -190,17 +324,68 @@ def _read_json(path):
 
 
 def _finite_floats(values, message: str) -> np.ndarray:
-    """A JSON list of numbers as float64; anything else, or a number that is
-    not finite, raises ``ValueError(message)``."""
+    """A JSON list of numbers, or the walk's float64 array of one, as
+    float64; anything else, or a number that is not finite, raises
+    ``ValueError(message)``."""
     # exact types: a JSON true or a string is not a number
     if isinstance(values, list) and {*map(type, values)} <= {int, float}:
         try:
-            array = np.asarray(values, dtype=np.float64)
+            values = np.asarray(values, dtype=np.float64)
         except OverflowError:  # an integer beyond the float range
             raise ValueError(message) from None
-        if np.isfinite(array).all():
-            return array
+    if isinstance(values, np.ndarray) and np.isfinite(values).all():
+        return values
     raise ValueError(message)
+
+
+def _walk_container(win: _Window) -> dict:
+    """The JSON object in ``win`` as ``json.load`` decodes it, except that a
+    ``values`` list is a float64 array.  Raises ``ValueError``,
+    ``OverflowError`` or ``RecursionError`` where the text is not a single
+    JSON object, or its ``values`` list holds anything but numbers that fit
+    a float."""
+    doc = {}
+    more, i = win.step(_open_object, 0)
+    while more:
+        key, i = win.step(_member_key, i)
+        if key == "values" and win.text[i : i + 1] == "[":
+            doc[key], i = _walk_numbers(win, i + 1)
+            more, i = win.step(_next_item, i, "}")
+        else:
+            (doc[key], more), i = win.step(_item, i, "}")
+    win.step(_document_end, i)
+    return doc
+
+
+def _walk_numbers(win: _Window, i: int) -> tuple[np.ndarray, int]:
+    """The numbers of the list that starts after its ``[`` at ``i``, as
+    float64, and the index past its ``]``.
+
+    Decodes the window's text up to its last comma, or up to the ``]``, as
+    one JSON list at a time.  That text holds no ``]``, so it decodes only
+    if it is numbers and commas: a nested list or a string in it fails to
+    decode or fails the type check.
+    """
+    # imported here, so that only a stage that loads a container maps the module
+    from array import array
+
+    values = array("d")
+    while True:
+        text = win.text
+        close = text.find("]", i)
+        stop = close if close >= 0 else text.rfind(",", i)
+        if stop >= 0:
+            numbers, _ = _decode(f"[{text[i:stop]}]")
+            if not {*map(type, numbers)} <= {int, float}:
+                raise ValueError("expecting a number")
+            values.fromlist(numbers)  # OverflowError for an int past the float range
+            if close >= 0:
+                return np.frombuffer(values, dtype=np.float64), close + 1
+            i = stop + 1
+        elif win.eof:
+            raise ValueError("expecting ']'")
+        win.read(i)
+        i = 0
 
 
 def _write_json(path, doc: dict) -> None:
@@ -213,9 +398,16 @@ def load_tensor3(path) -> tuple[np.ndarray, dict]:
     """Read a tensor written by :func:`save_tensor3`; returns (tensor, metadata).
 
     A file that is not such a container raises ``ValueError`` naming it.
+    The file is walked a block at a time, ``values`` decoded into one
+    float64 array; a file the walk does not take is read again whole, on
+    that path only, so that every error is the one of the whole document.
     """
     where = Path(path)
-    doc = _read_json(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = _walk_container(_Window(fh))
+    except (ValueError, OverflowError, RecursionError):  # invalid, or values not all floats
+        doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != _TENSOR_FORMAT:
         raise ValueError(f"{where}: not a dense-tensor3 container")
     if doc.get("version") != _TENSOR_VERSION:

@@ -12,6 +12,7 @@ import math
 import tracemalloc
 from collections import namedtuple
 from itertools import product, repeat
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -144,6 +145,38 @@ def kde_by_full_matrix(values, grid, bandwidth) -> np.ndarray:
     """Gaussian KDE from the whole grid x samples matrix at once."""
     z = (grid[:, None] - values[None, :]) / bandwidth
     return np.exp(-0.5 * z**2).sum(axis=1) / (values.size * bandwidth * np.sqrt(2.0 * np.pi))
+
+
+def cluster_series_by_whole_array(t, labels):
+    """Per-cluster mean and standard error of the rows of the whole
+    (players x J x K) array ``t``, each cluster's rows copied at once:
+    ``(means, stderrs, sizes)``."""
+    clusters = np.unique(labels)
+    means = np.zeros((clusters.size, *t.shape[1:]))
+    stderrs = np.zeros_like(means)
+    sizes = []
+    for ci, c in enumerate(clusters):
+        rows = t[labels == c]
+        n = rows.shape[0]
+        sizes.append(n)
+        means[ci] = rows.mean(axis=0)
+        if n > 1:
+            stderrs[ci] = rows.std(axis=0, ddof=1) / np.sqrt(n)
+    return means, stderrs, tuple(sizes)
+
+
+def membership_by_broadcast(model):
+    """The whole user x component x time membership array of ``model``."""
+    users, _, time = model.factors
+    return model.weights[None, :, None] * (users[:, :, None] * time.T[None])
+
+
+def relative_noise_by_expression(tensor, level, rng):
+    """Multiplicative clipped Gaussian noise as one expression over new arrays."""
+    if level == 0.0:
+        return tensor
+    jitter = np.clip(1.0 + level * rng.standard_normal(tensor.shape), 0.0, None)
+    return tensor * jitter
 
 
 def normalize_by_where(counts, per_player=False):
@@ -410,3 +443,43 @@ def write_csv_by_values(dataset, path):
             matches = range(dataset.n_matches)
             arena = repeat(dataset.arena_id)
             writer.writerows(zip(repeat(pid), matches, *features, won, arena))
+
+
+# ---------------------------------------------------------------------------
+# the container reader, the whole document at once
+
+
+def load_tensor3_by_json_load(path):
+    """Reference ``load_tensor3``: the whole document through ``json.load``,
+    then the container's checks in their order."""
+    where = Path(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{where}: not a JSON file ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != "dense-tensor3":
+        raise ValueError(f"{where}: not a dense-tensor3 container")
+    if doc.get("version") != 1:
+        raise ValueError(f"{where}: unsupported container version {doc.get('version')}")
+    dims = doc.get("dims")
+    if not (
+        isinstance(dims, list) and len(dims) == 3 and all(type(d) is int and d > 0 for d in dims)
+    ):
+        raise ValueError(f"{where}: dims must be three positive integers, got {dims!r}")
+    values = doc.get("values")
+    message = f"{where}: values must be a list of finite numbers"
+    if not (isinstance(values, list) and all(type(v) in (int, float) for v in values)):
+        raise ValueError(message)
+    try:
+        values = np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(message) from None
+    if not np.isfinite(values).all():
+        raise ValueError(message)
+    if values.size != dims[0] * dims[1] * dims[2]:
+        raise ValueError(f"{where}: value count does not match dims {tuple(dims)}")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError(f"{where}: metadata must be an object")
+    return values.reshape(dims), metadata

@@ -899,7 +899,7 @@ class TestRiotBlocks:
 
     @pytest.fixture(params=[1, 7, 64])
     def block(self, request, monkeypatch):
-        monkeypatch.setattr(data_module, "_BLOCK", request.param)
+        monkeypatch.setattr(tensor_module, "_BLOCK", request.param)
         return request.param
 
     @pytest.mark.parametrize("text, message", RIOT_DOCUMENT_ERRORS)
@@ -934,7 +934,7 @@ class TestRiotBlocks:
         path = write(tmp_path, "d.json", text)
         whole = ingest(path, "riot-match-json", n_matches=3)
         assert 12345678901 in whole.dataset.counts
-        monkeypatch.setattr(data_module, "_BLOCK", text.index(number) + len(number) + cut)
+        monkeypatch.setattr(tensor_module, "_BLOCK", text.index(number) + len(number) + cut)
         assert_same_dataset(ingest(path, "riot-match-json", n_matches=3).dataset, whole.dataset)
 
     @pytest.mark.parametrize("size", [7, 64])
@@ -943,7 +943,7 @@ class TestRiotBlocks:
     )
     @given(seed=hst.integers(0, 2**32 - 1))
     def test_fuzzed_export(self, monkeypatch, size, seed):
-        monkeypatch.setattr(data_module, "_BLOCK", size)
+        monkeypatch.setattr(tensor_module, "_BLOCK", size)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "export"
             path.write_text(fuzzed_riot(random.Random(seed)), encoding="utf-8")

@@ -4,18 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 from scipy.special import stdtr
 
 from matchfactor import (
     ConstantColumn,
     EmptyClusterUnrecoverable,
+    SyntheticSpec,
     cluster_feature_trajectories,
     feature_membership,
+    generate_synthetic,
     kde_gaussian,
     kde_grid,
     kmeans,
     kruskal_tensor,
     as_factor_model,
+    load_tensor3,
+    normalize_minmax,
+    save_tensor3,
     silhouette,
     silverman_bandwidth,
     temporal_modulation,
@@ -23,11 +29,14 @@ from matchfactor import (
     win_rate_stats,
 )
 
+import matchfactor.patterns as patterns_module
 from matchfactor.patterns import _t_two_tail
 
 from helpers import (
     adjusted_rand_index,
+    cluster_series_by_whole_array,
     kde_by_full_matrix,
+    membership_by_broadcast,
     silhouette_by_pairs,
     traced_peak,
     welch_p_by_quadrature,
@@ -211,6 +220,21 @@ class TestSilhouette:
         expect = silhouette_by_pairs(points, labels)
         np.testing.assert_allclose(per_sample, expect, rtol=0, atol=1e-12)
         assert overall == pytest.approx(expect.mean(), abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 33, 129, 961])
+    def test_same_bits_at_every_block_size(self, monkeypatch, n):
+        # n - 1 is a multiple of several of the sizes, where blocks of that
+        # size alone would leave a lone last row
+        rng = np.random.default_rng(32)
+        points = rng.random((n, 3))
+        labels = rng.integers(0, 3, size=n)
+        labels[:2] = (0, 1)
+        monkeypatch.setattr(patterns_module, "_SILHOUETTE_BLOCK", n)
+        overall, whole = silhouette(points, labels)
+        for size in (2, 3, 4, 8, 32, 128):
+            monkeypatch.setattr(patterns_module, "_SILHOUETTE_BLOCK", size)
+            got = silhouette(points, labels)
+            assert (got[0], got[1].tobytes()) == (overall, whole.tobytes()), size
 
     def test_memory_linear_in_points(self):
         # the Gram form's traced peak was three n x n float64 arrays (384 MB)
@@ -489,9 +513,9 @@ class TestWinRateStats:
 
 
 @hst.composite
-def models_and_labels(draw):
+def models_and_labels(draw, max_users=8):
     """A model from non-negative factors, and a cluster label for each user."""
-    n_users, rank, k_steps = (draw(hst.integers(1, hi)) for hi in (8, 3, 6))
+    n_users, rank, k_steps = (draw(hst.integers(1, hi)) for hi in (max_users, 3, 6))
     entries = hst.floats(0.0, 1.0)
 
     def matrix(rows):
@@ -500,10 +524,54 @@ def models_and_labels(draw):
 
     model = as_factor_model(matrix(n_users), matrix(2), matrix(k_steps))
     labels = np.array(draw(hst.lists(hst.integers(0, 3), min_size=n_users, max_size=n_users)))
+    if draw(hst.booleans()):
+        labels[draw(hst.integers(0, n_users - 1))] = 9  # a singleton cluster
     return model, labels
 
 
+@hst.composite
+def tensors_and_labels(draw):
+    """A players x features x time tensor, and a cluster label for each player."""
+    shape = draw(hst.tuples(hst.integers(1, 30), hst.integers(1, 4), hst.integers(1, 6)))
+    t = draw(hnp.arrays(np.float64, shape, elements=hst.floats(0.0, 1e4)))
+    labels = np.array(draw(hst.lists(hst.integers(0, 3), min_size=shape[0], max_size=shape[0])))
+    if draw(hst.booleans()):
+        labels[draw(hst.integers(0, shape[0] - 1))] = 9  # a singleton cluster
+    return t, labels
+
+
+def assert_same_series(got, t, labels):
+    """``got`` has the bits of the whole-array cluster series of ``t``.
+
+    One series at a time, the bits are always the same.  Over the whole
+    array they are too, except where the series are single steps: then
+    numpy adds the members of each whole (members x 1) column pairwise,
+    and the rows of a (members x J x 1) array one by one.
+    """
+    for j in range(t.shape[1]):
+        means, stderrs, sizes = cluster_series_by_whole_array(t[:, j : j + 1], labels)
+        assert got.means[:, j : j + 1].tobytes() == means.tobytes()
+        assert got.stderrs[:, j : j + 1].tobytes() == stderrs.tobytes()
+        assert got.cluster_sizes == sizes
+    if t.shape[2] > 1 or t.shape[1] == 1:
+        means, stderrs, _ = cluster_series_by_whole_array(t, labels)
+        assert got.means.tobytes() == means.tobytes()
+        assert got.stderrs.tobytes() == stderrs.tobytes()
+
+
 class TestTemporalModulationProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(case=models_and_labels(max_users=30))
+    def test_same_bits_as_the_whole_membership_array(self, case):
+        model, labels = case
+        assert_same_series(temporal_modulation(model, labels), membership_by_broadcast(model), labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tensors_and_labels())
+    def test_trajectories_same_bits_as_the_whole_tensor(self, case):
+        t, labels = case
+        assert_same_series(cluster_feature_trajectories(t, labels), t, labels)
+
     @settings(max_examples=200, deadline=None)
     @given(case=models_and_labels())
     def test_equals_cluster_series_of_membership_tensor(self, case):
@@ -518,12 +586,7 @@ class TestTemporalModulationProperties:
         assert profile.stderrs.tobytes() == series.stderrs.tobytes()
         assert profile.cluster_sizes == series.cluster_sizes
 
-        # and the definition: one outer product per cluster and component.
-        # With one step a component's (members x 1) product is a contiguous
-        # column, which numpy sums pairwise instead of row by row, so its last
-        # bits may differ; every other shape adds the rows in the same order.
-        if time.shape[0] == 1:
-            return
+        # and the definition: one outer product per cluster and component
         for ci, c in enumerate(np.unique(labels)):
             rows = np.flatnonzero(labels == c)
             for r in range(model.rank):
@@ -533,3 +596,51 @@ class TestTemporalModulationProperties:
                 if rows.size > 1:
                     stderr = p.std(axis=0, ddof=1) / np.sqrt(rows.size)
                 assert profile.stderrs[ci, r].tobytes() == stderr.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# memory of the stages that read a fitted paper tensor
+
+
+@pytest.fixture(scope="module")
+def paper(tmp_path_factory):
+    """The seed-0 paper tensor as ingest saves it, its planted model and labels."""
+    result = generate_synthetic(SyntheticSpec(seed=0))
+    tensor = normalize_minmax(result.dataset).tensor
+    path = tmp_path_factory.mktemp("paper") / "tensor.json"
+    save_tensor3(path, tensor, {"player_ids": list(result.dataset.player_ids)})
+    return path, tensor, result.truth, result.labels
+
+
+class TestStageMemory:
+    """Traced peaks of warm second calls on the paper tensor (961 x 4 x 100):
+    each stage holds the tensor about once, and no per-cluster view holds a
+    players x components x time array."""
+
+    # one 961 x 3 x 100 float64 array
+    MEMBERSHIP_BYTES = 961 * 3 * 100 * 8
+
+    def warm_peak(self, call):
+        call()
+        return traced_peak(call)
+
+    def test_load_tensor3(self, paper):
+        path, tensor, _, _ = paper
+        assert load_tensor3(path)[0].tobytes() == tensor.tobytes()
+        peak = self.warm_peak(lambda: load_tensor3(path))
+        assert peak <= 2.5 * tensor.nbytes, (peak, tensor.nbytes)
+
+    def test_temporal_modulation(self, paper):
+        _, _, truth, labels = paper
+        peak = self.warm_peak(lambda: temporal_modulation(truth, labels))
+        assert peak < self.MEMBERSHIP_BYTES, peak
+
+    def test_cluster_feature_trajectories(self, paper):
+        _, tensor, _, labels = paper
+        peak = self.warm_peak(lambda: cluster_feature_trajectories(tensor, labels))
+        assert peak < self.MEMBERSHIP_BYTES, peak
+
+    def test_silhouette(self, paper):
+        _, _, truth, labels = paper
+        peak = self.warm_peak(lambda: silhouette(truth.factors[0], labels))
+        assert peak < self.MEMBERSHIP_BYTES, peak

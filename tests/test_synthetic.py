@@ -2,16 +2,22 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from matchfactor import (
     DecomposeConfig,
     SyntheticSpec,
     align_components,
+    apply_relative_noise,
     decompose,
     generate_synthetic,
     normalize_minmax,
     welch_t_test,
 )
+
+from helpers import relative_noise_by_expression
 
 
 def small_spec(**overrides):
@@ -148,3 +154,27 @@ class TestEndToEndRecovery:
             if min(pvals) > 0.05:
                 insignificant += 1
         assert insignificant >= trials * 0.7
+
+
+class TestRelativeNoise:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        t=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=3, max_dims=3, max_side=5),
+            elements=hst.floats(0.0, 1e6),
+        ),
+        level=hst.sampled_from([0.0, 1e-3, 0.05, 0.5, 3.0]) | hst.floats(0.0, 10.0),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_one_expression(self, t, level, seed):
+        before = t.copy()
+        got = apply_relative_noise(t, level, np.random.default_rng(seed))
+        expect = relative_noise_by_expression(t, level, np.random.default_rng(seed))
+        assert (got.dtype, got.shape) == (expect.dtype, expect.shape)
+        assert got.tobytes() == expect.tobytes()
+        assert t.tobytes() == before.tobytes()  # the argument is never modified
+        if level == 0.0:
+            assert got is t
+        else:
+            assert not np.shares_memory(got, t)

@@ -21,6 +21,7 @@ from matchfactor import (
 from helpers import (
     khatri_rao_by_loops,
     kruskal_by_loops,
+    load_tensor3_by_json_load,
     save_tensor3_by_json_dump,
     unfold_by_loops,
 )
@@ -271,6 +272,133 @@ class TestMalformedContainer:
         with pytest.raises(ValueError, match=names) as exc:
             load_tensor3(path)
         assert str(path) in str(exc.value)
+
+
+# number tokens a values list may hold, and tokens that are not finite
+# numbers, each spelled as JSON spells it (or almost: NaN and Infinity)
+NUMBER_TOKENS = (
+    hst.sampled_from(["0", "-0", "7", "-12", "0.5", "-0.0", "1e3", "2.5E-3", "-1E+2", "1.5e-310"])
+    | hst.integers(-(2**80), 2**80).map(str)
+    | hst.floats(allow_nan=False, allow_infinity=False).map(repr)
+)
+ODD_TOKENS = hst.sampled_from(
+    [
+        *("NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400, "-" + "9" * 330),
+        *("true", "false", "null", '"a,b"', '"]"', '"1"', "[1, 2]", "[]", "[[0.5]]", "{}"),
+        *("1.", "01", "+1", ".5", "1e", "--1"),  # not JSON
+    ]
+)
+SPACES = hst.sampled_from(["", "", " ", "\n", "\t", "\r\n", " \n  "])
+METADATA_TEXTS = hst.sampled_from(
+    [
+        *("{}", '{"player_ids": ["a", "b,]"]}', '{"values": [1, "x"], "dims": [0]}'),
+        *('{"deep": [[[1, {"k": [2]}]]]}', "[1]", '"x"', "null"),
+    ]
+)
+
+
+@hst.composite
+def container_texts(draw):
+    """The bytes of a container, most of them valid: varied whitespace and
+    key order, repeated ``values`` and ``dims`` keys (the last one counts),
+    odd value tokens, and some cut short or holding a byte that is not UTF-8."""
+    def space():
+        return draw(SPACES)
+
+    def json_list(tokens):
+        items = ",".join(f"{space()}{token}{space()}" for token in tokens)
+        return f"[{items or space()}]"
+
+    def values():
+        tokens = draw(hst.lists(NUMBER_TOKENS, min_size=1, max_size=12))
+        if draw(hst.integers(0, 3)) == 0:
+            tokens.insert(draw(hst.integers(0, len(tokens))), draw(ODD_TOKENS))
+        return json_list(tokens), len(tokens)
+
+    values_text, n = values()
+    dims = draw(hst.permutations([1, 1, n]))
+    if draw(hst.integers(0, 4)) == 0:
+        dims = draw(hst.lists(hst.integers(-1, 3), min_size=2, max_size=4))
+    members = [
+        ("format", draw(hst.sampled_from(['"dense-tensor3"'] * 4 + ['"dense-tensor2"']))),
+        ("version", draw(hst.sampled_from(["1"] * 4 + ["2", "1.0", "true"]))),
+        ("dims", json_list(map(str, dims))),
+        ("layout", '"first-index-slowest"'),
+        ("values", values_text),
+    ]
+    if draw(hst.booleans()):
+        members.append(("metadata", draw(METADATA_TEXTS)))
+    for key in draw(hst.lists(hst.sampled_from(["values", "dims"]), max_size=2)):
+        members.insert(
+            draw(hst.integers(0, len(members))),
+            (key, values()[0] if key == "values" else json_list(map(str, dims[::-1]))),
+        )
+    members = draw(hst.permutations(members))
+    body = ",".join(f'{space()}"{key}"{space()}:{space()}{value}{space()}' for key, value in members)
+    data = f"{space()}{{{body}}}{space()}".encode("utf-8")
+    damage = draw(hst.integers(0, 19))
+    at = draw(hst.integers(0, len(data)))
+    if damage == 0:
+        data = data[:at]
+    elif damage == 1:
+        data = data[:at] + draw(hst.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+def load_outcome(load, path):
+    """The array (bytes and shape) and metadata ``load(path)`` gives, or its
+    ``ValueError``."""
+    try:
+        t, metadata = load(path)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return t.dtype, t.shape, t.tobytes(), metadata
+
+
+class TestReaderMatchesJsonLoad:
+    """``load_tensor3`` walks the container a block at a time, yet gives the
+    bits, or the error, of the whole document through ``json.load``."""
+
+    @pytest.fixture(params=[None, 1, 7, 64], ids=["default-block", "block-1", "block-7", "block-64"])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(tensor_module, "_BLOCK", request.param)
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=container_texts())
+    def test_same_bits_or_error(self, tmp_path, block, data):
+        path = tmp_path / "t.json"
+        path.write_bytes(data)
+        assert load_outcome(load_tensor3, path) == load_outcome(load_tensor3_by_json_load, path)
+
+    @pytest.mark.parametrize("size", range(1, 41))
+    def test_numbers_split_by_block_edges(self, tmp_path, monkeypatch, size):
+        # long numbers of every kind, so that some block edge falls inside
+        # the digits, fraction, exponent or sign of each
+        numbers = ["-1.2345678901234567e-300", "123456789012345678901234567890", "-0.0"]
+        numbers += ["9.87654321e+25", "4503599627370497", "0.1", "5e-324", "-7"]
+        path = tmp_path / "t.json"
+        path.write_text(container(dims=[2, 2, 2], values=None)[:-1] + f', "values": [{", ".join(numbers)}]}}')
+        expect = load_outcome(load_tensor3_by_json_load, path)
+        assert isinstance(expect[0], np.dtype)
+        monkeypatch.setattr(tensor_module, "_BLOCK", size)
+        assert load_outcome(load_tensor3, path) == expect
+
+    def test_walk_takes_what_save_tensor3_writes(self, tmp_path, monkeypatch):
+        # the whole-document path is for files the walk refuses only
+        t = np.random.default_rng(5).random((3, 4, 5))
+        t[0, 0, :2] = (-0.0, 5e-324)
+        save_tensor3(tmp_path / "t.json", t, {"player_ids": ["a", "b"]})
+
+        def refuse(path):
+            raise AssertionError("read whole")
+
+        monkeypatch.setattr(tensor_module, "_read_json", refuse)
+        monkeypatch.setattr(tensor_module, "_BLOCK", 16)
+        back, metadata = load_tensor3(tmp_path / "t.json")
+        assert back.tobytes() == t.tobytes() and metadata == {"player_ids": ["a", "b"]}
 
 
 # values the container writer must spell exactly as json.dump does
