@@ -2,8 +2,9 @@
 
 Every artifact is plain CSV or JSON designed for direct plotting, embeds the
 run configuration and tool version, and is byte-identical across re-runs
-with the same inputs and seeds.  CSV artifacts start with one ``#`` comment
-line carrying the provenance echo.
+with the same inputs, seeds and BLAS thread count (under another count the
+fit's reductions may round differently).  CSV artifacts start with one
+``#`` comment line carrying the provenance echo.
 
 Each subcommand returns its artifacts and warnings; ``main``, the only code
 that prints, writes them only after the stage has succeeded, so a failed

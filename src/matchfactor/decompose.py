@@ -508,8 +508,9 @@ def model_from_doc(doc) -> FactorModel:
     """The model of a ``model_to_doc`` document; a malformed one raises ``ValueError``."""
     if not isinstance(doc, dict) or doc.get("format") != _MODEL_FORMAT:
         raise ValueError("not a factor-model document")
-    if doc.get("version") != _MODEL_VERSION:
-        raise ValueError(f"unsupported factor-model version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != _MODEL_VERSION:  # a JSON true or 1.0 is not 1
+        raise ValueError(f"unsupported factor-model version {version!r}")
     missing = [key for key in _MODEL_KEYS if key not in doc]
     if missing:
         raise ValueError(f"missing keys {missing}")

@@ -22,14 +22,15 @@ Container
 ``save_tensor3`` writes one JSON object (dims, layout, format version,
 metadata, and the values flat with the first index slowest), formatting
 the values a slice at a time.  ``load_tensor3`` walks the file
-``_BLOCK`` characters at a time: each member but ``values`` is decoded
-whole, and ``values`` one block of numbers at a time, by json's own
-scanner, into one float64 array, so the tensor is held about once and
-never as a list of Python floats.  A file the walk does not take (invalid
-JSON or UTF-8, or a value that is not a number that fits a float) is read
-again whole through ``json.load``, on that path only, so that every error
-is the one the whole document gives.  The riot reader in ``data`` walks
-its exports with the same ``_Window``.
+``_BLOCK`` characters at a time with ``_walk_object``: each member but
+``values`` is decoded whole, and ``values`` one block of numbers at a time,
+by json's own scanner, into one float64 array, so the tensor is held about
+once and never as a list of Python floats.  A file the walk does not take
+(invalid JSON or UTF-8, or a value that is not a number that fits a float)
+is read again whole through ``json.load``, on that path only, so that every
+error is the one the whole document gives.  ``_walk_object`` is the only
+walk of a JSON object: the riot reader in ``data`` walks its exports with
+it too, one match of the ``matches`` list at a time.
 """
 
 from __future__ import annotations
@@ -338,21 +339,22 @@ def _finite_floats(values, message: str) -> np.ndarray:
     raise ValueError(message)
 
 
-def _walk_container(win: _Window) -> dict:
-    """The JSON object in ``win`` as ``json.load`` decodes it, except that a
-    ``values`` list is a float64 array.  Raises ``ValueError``,
-    ``OverflowError`` or ``RecursionError`` where the text is not a single
-    JSON object, or its ``values`` list holds anything but numbers that fit
-    a float."""
+def _walk_object(win: _Window, key: str, walk_list) -> dict:
+    """The members of the JSON object in ``win`` as ``json.load`` decodes
+    them (the last of a repeated key counts), except that a ``key`` member
+    holding a list has the value of ``walk_list(win, i)``, which walks the
+    list from past its ``[`` at ``i`` and returns ``(value, end)``.  Raises
+    ``ValueError`` or ``RecursionError`` where the text is not a single JSON
+    object, and what ``walk_list`` raises."""
     doc = {}
     more, i = win.step(_open_object, 0)
     while more:
-        key, i = win.step(_member_key, i)
-        if key == "values" and win.text[i : i + 1] == "[":
-            doc[key], i = _walk_numbers(win, i + 1)
+        name, i = win.step(_member_key, i)
+        if name == key and win.text[i : i + 1] == "[":
+            doc[name], i = walk_list(win, i + 1)
             more, i = win.step(_next_item, i, "}")
         else:
-            (doc[key], more), i = win.step(_item, i, "}")
+            (doc[name], more), i = win.step(_item, i, "}")
     win.step(_document_end, i)
     return doc
 
@@ -405,13 +407,14 @@ def load_tensor3(path) -> tuple[np.ndarray, dict]:
     where = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = _walk_container(_Window(fh))
+            doc = _walk_object(_Window(fh), "values", _walk_numbers)
     except (ValueError, OverflowError, RecursionError):  # invalid, or values not all floats
         doc = _read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != _TENSOR_FORMAT:
         raise ValueError(f"{where}: not a dense-tensor3 container")
-    if doc.get("version") != _TENSOR_VERSION:
-        raise ValueError(f"{where}: unsupported container version {doc.get('version')}")
+    version = doc.get("version")
+    if type(version) is not int or version != _TENSOR_VERSION:  # a JSON true or 1.0 is not 1
+        raise ValueError(f"{where}: unsupported container version {version}")
     dims = doc.get("dims")
     if not (
         isinstance(dims, list)

@@ -460,8 +460,9 @@ def load_tensor3_by_json_load(path):
             raise ValueError(f"{where}: not a JSON file ({exc})") from None
     if not isinstance(doc, dict) or doc.get("format") != "dense-tensor3":
         raise ValueError(f"{where}: not a dense-tensor3 container")
-    if doc.get("version") != 1:
-        raise ValueError(f"{where}: unsupported container version {doc.get('version')}")
+    version = doc.get("version")
+    if type(version) is not int or version != 1:  # a JSON true or 1.0 is not 1
+        raise ValueError(f"{where}: unsupported container version {version}")
     dims = doc.get("dims")
     if not (
         isinstance(dims, list) and len(dims) == 3 and all(type(d) is int and d > 0 for d in dims)

@@ -923,6 +923,16 @@ class TestRiotBlocks:
             ingest(path, "riot-match-json", n_matches=3)
         assert read.value.line == whole.value.line == 40
 
+    def test_members_around_matches_are_skipped(self, tmp_path, block):
+        # array members before and after the matches, whose strings hold the
+        # characters that end a value and which nest a matches list of their own
+        matches = json.loads(csv_to_riot_json(CSV_FIXTURE))["matches"]
+        other = ["]", "}", ",", '"]},', {"matches": matches[:1]}, [["x]", {"a": "},"}]]]
+        text = json.dumps({"before": other, "matches": matches, "after": other[::-1]}, indent=1)
+        path = write(tmp_path, "d.json", text)
+        assert ingest(path, "riot-match-json", n_matches=N_MATCHES).players_retained == 2
+        assert_same_as_reference(path, "riot-match-json")
+
     @pytest.mark.parametrize("cut", range(1, 16))
     @pytest.mark.parametrize("number", ['"goldEarned": ', '"total": '], ids=["gold", "total"])
     def test_number_split_by_a_block_edge(self, tmp_path, monkeypatch, number, cut):

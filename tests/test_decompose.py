@@ -428,6 +428,8 @@ class TestSerialization:
             ("format=dense-tensor3", "not a factor-model document"),
             ("version=2", "unsupported factor-model version 2"),
             ("no version", "unsupported factor-model version None"),
+            ("version=true", "unsupported factor-model version True"),
+            ("version=1.0", "unsupported factor-model version 1.0"),
             ("no factors", "missing keys ['factors']"),
             ("no fit, no seed", "missing keys ['fit', 'seed']"),
             ("factors=[]", "factors must be an object"),
@@ -465,6 +467,8 @@ class TestSerialization:
             "format=dense-tensor3": lambda: doc.update(format="dense-tensor3"),
             "version=2": lambda: doc.update(version=2),
             "no version": lambda: doc.pop("version"),
+            "version=true": lambda: doc.update(version=True),
+            "version=1.0": lambda: doc.update(version=1.0),
             "no factors": lambda: doc.pop("factors"),
             "no fit, no seed": lambda: (doc.pop("seed"), doc.pop("fit")),
             "factors=[]": lambda: doc.update(factors=[]),

@@ -235,6 +235,8 @@ MALFORMED_CONTAINERS = {
     "list-document": ("[1, 2]", "container"),
     "invalid-json": ('{"dims": [1', "JSON"),
     "deep-json": ("[" * 100_000 + "]" * 100_000, "JSON"),
+    "bool-version": (container(version=True), "version True"),
+    "float-version": (container(version=1.0), "version 1.0"),
     "missing-dims": (container(dims=None), "dims"),
     "two-dims": (container(dims=[1, 2]), "dims"),
     "zero-dim": (container(dims=[1, 0, 2]), "dims"),
