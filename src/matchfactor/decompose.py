@@ -163,7 +163,9 @@ def _normalize_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _anls_single(t: np.ndarray, rank: int, seed: int, cfg: DecomposeConfig) -> FactorModel:
     """One ANLS fit of a validated tensor from a seeded random start."""
-    rng = np.random.default_rng(seed)
+    from ._rng import SeededRandom
+
+    rng = SeededRandom(seed)
     norm_t = frobenius_norm(t)
     dense_below_sq = (_DENSE_FIT_BELOW * norm_t) ** 2
     dims = i_dim, j_dim, k_dim = t.shape

@@ -12,6 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .decompose import (
 )
 from .errors import ConstantColumn, EmptyClusterUnrecoverable
 from .tensor import as_matrix, as_tensor3
+
+if TYPE_CHECKING:
+    from ._rng import SeededRandom
 
 # k-means++ initializations per k-means call; Lloyd iterations per run, and
 # the relative inertia change that ends a run early.
@@ -163,17 +167,13 @@ class ClusterAssignment:
         return tuple(int((self.labels == c).sum()) for c in range(self.n_clusters))
 
 
-def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_init(points: np.ndarray, k: int, rng: SeededRandom) -> np.ndarray:
     n = points.shape[0]
-    chosen = [int(rng.integers(n))]
+    chosen = [rng.integers(n)]
     d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
     for _ in range(1, k):
-        total = float(d2.sum())
-        if total > 0:
-            probs = d2 / total
-            chosen.append(int(rng.choice(n, p=probs)))
-        else:
-            chosen.append(int(rng.integers(n)))
+        # each next center with probability proportional to d2
+        chosen.append(rng.choice(n, d2) if d2.sum() > 0 else rng.integers(n))
         d2 = np.minimum(d2, ((points - points[chosen[-1]]) ** 2).sum(axis=1))
     return points[chosen].copy()
 
@@ -226,7 +226,9 @@ def kmeans(
     points = as_matrix(points)
     _check_k(k, points.shape[0])
 
-    rng = np.random.default_rng(seed)
+    from ._rng import SeededRandom
+
+    rng = SeededRandom(seed)
     best: tuple[np.ndarray, np.ndarray, float] | None = None
     for _ in range(_KMEANS_N_INIT):
         centroids = _kmeans_pp_init(points, k, rng)

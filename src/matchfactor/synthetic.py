@@ -12,6 +12,10 @@ In ``exact`` mode rounding is disabled and the first player is replaced by
 an all-zero row, which pins every feature's minimum at zero so that min-max
 normalization is a pure per-feature rescaling and the planted model remains
 exactly representable downstream.
+
+Every draw (planted factors, noise, wins) comes from the package's seeded
+generator ``_rng.SeededRandom``, not from ``numpy.random``, so ``synth``
+never loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -110,7 +114,9 @@ def planted_factors(
     elsewhere; features follow the signature sets; time series are smooth
     sinusoids bounded away from zero.
     """
-    rng = np.random.default_rng(seed)
+    from ._rng import SeededRandom
+
+    rng = SeededRandom(seed)
     if group_sizes is None:
         base = n_users // rank
         group_sizes = tuple(
@@ -167,13 +173,13 @@ def as_factor_model(
     )
 
 
-def apply_relative_noise(
-    tensor: np.ndarray, level: float, rng: np.random.Generator
-) -> np.ndarray:
+def apply_relative_noise(tensor: np.ndarray, level: float, rng) -> np.ndarray:
     """Multiplicative Gaussian perturbation, clipped so entries stay >= 0.
 
-    Returns a new array, formed in place on the draw, except at level 0,
-    where it returns ``tensor`` itself; ``tensor`` is never modified.
+    ``rng`` is any object with a ``standard_normal(shape)`` method: the
+    package's ``SeededRandom``, or a ``numpy.random.Generator``.  Returns a
+    new array, formed in place on the draw, except at level 0, where it
+    returns ``tensor`` itself; ``tensor`` is never modified.
     """
     if level == 0.0:
         return tensor
@@ -192,7 +198,9 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     be compared directly against a downstream fit.  With noise or rounding
     the correspondence is approximate; in ``exact`` mode it is exact.
     """
-    rng = np.random.default_rng(spec.seed)
+    from ._rng import SeededRandom
+
+    rng = SeededRandom(spec.seed)
     users, features, time, labels = planted_factors(
         spec.n_players,
         len(spec.feature_scales),

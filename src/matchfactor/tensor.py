@@ -155,8 +155,9 @@ def kruskal_tensor(
             "factor column counts and weight length must agree: "
             f"{a.shape[1]}, {b.shape[1]}, {c.shape[1]}, {r}"
         )
-    m1 = (a * weights) @ khatri_rao(c, b).T
-    return fold(m1, 1, (a.shape[0], b.shape[0], c.shape[0]))
+    # the columns of khatri_rao(b, c) run j-major, so the product is the
+    # C-ordered tensor already and the reshape is a view
+    return ((a * weights) @ khatri_rao(b, c).T).reshape(a.shape[0], b.shape[0], c.shape[0])
 
 
 def frobenius_norm(t: np.ndarray) -> float:

@@ -82,16 +82,15 @@ def synth_and_ingest(tmp_path, spec=None, seed=None):
     return out
 
 
-def loaded_scipy_modules(code, *args):
+def last_line_of(code, *args):
     """Run ``code`` in a fresh interpreter (its argv after ``args``) and
-    return the scipy modules loaded when it ends."""
+    return the last line it prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(matchfactor.__file__).parents[1]), env.get("PYTHONPATH")) if p
     )
-    probe = code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     done = subprocess.run(
-        [sys.executable, "-c", probe, *map(str, args)],
+        [sys.executable, "-c", code, *map(str, args)],
         env=env,
         capture_output=True,
         text=True,
@@ -99,6 +98,12 @@ def loaded_scipy_modules(code, *args):
     )
     assert done.returncode == 0, done.stderr
     return done.stdout.strip().splitlines()[-1]
+
+
+def loaded_scipy_modules(code, *args):
+    """The scipy modules loaded when ``code`` ends in a fresh interpreter."""
+    probe = code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    return last_line_of(probe, *args)
 
 
 class TestStartup:
@@ -125,6 +130,49 @@ class TestStartup:
         assert loaded_scipy_modules(code, json.dumps(stages)) == "[]"
         tests = json.loads((out / "win_rate_tests.json").read_text())
         assert tests["pairwise"]  # the Welch tests ran
+
+    @pytest.mark.skipif(
+        int(np.__version__.split(".")[0]) < 2, reason="before numpy 2, `import numpy` loads numpy.random"
+    )
+    def test_no_stage_loads_numpy_random(self, tmp_path):
+        # every draw goes through the package's own seeded generator; numpy.random
+        # would add about 6 MB to each stage that draws
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SMALL_SPEC))
+        assert run("synth", "--spec", spec, "--out-dir", tmp_path / "records") == 0
+        records = (tmp_path / "records" / "synthetic.csv").read_text()
+        (tmp_path / "records.jsonl").write_text(csv_to_jsonl(records))
+        (tmp_path / "records.riot.json").write_text(csv_to_riot_json(records))
+        out = tmp_path / "out"
+        ingest = ["--matches", "24", "--out-dir", str(out)]
+        stages = {
+            "synth": ["synth", "--spec", str(spec), "--out-dir", str(out)],
+            "ingest json-lines": [
+                "ingest", "--input", str(tmp_path / "records.jsonl"), "--format", "json-lines", *ingest
+            ],
+            "ingest riot-match-json": [
+                "ingest", "--input", str(tmp_path / "records.riot.json"), "--format", "riot-match-json",
+                *ingest,
+            ],
+            "ingest csv": ["ingest", "--input", str(out / "synthetic.csv"), *ingest],
+            "rank-scan": [
+                "rank-scan", "--input", str(out / "tensor.json"), "--ranks", "1:3", "--restarts", "2",
+                "--out-dir", str(out),
+            ],
+            "analyze": ["analyze", "--input", str(out / "tensor.json"), "--restarts", "2", "--out-dir", str(out)],
+        }
+        code = (
+            "import json, sys\n"
+            "from matchfactor.cli import main\n"
+            "loaded = {}\n"
+            "for stage, argv in json.loads(sys.argv[1]).items():\n"
+            "    assert main(argv) == 0, argv\n"
+            "    loaded[stage] = 'numpy.random' in sys.modules\n"
+            "print(json.dumps(loaded))"
+        )
+        loaded = json.loads(last_line_of(code, json.dumps(stages)))
+        assert loaded == dict.fromkeys(stages, False)
+        assert json.loads((out / "clusters.json").read_text())["k"] >= 2  # analyze clustered
 
 
 def option_strings(parser) -> set[str]:
@@ -503,9 +551,14 @@ class TestAnalyze:
         assert "rank" in capsys.readouterr().err
 
     @staticmethod
-    def scan_planted(tmp_path, scan_input, out):
+    def scan_planted(tmp_path, scan_input, out) -> int:
         """Planted rank-2 a.json and rank-3 b.json in ``tmp_path``, the
-        current directory, and a scan of ``scan_input`` into ``out``."""
+        current directory, and a scan of ``scan_input`` into ``out``.
+
+        Returns the rank the scan selected.  These tests are about where
+        that rank came from, not its value: one short restart per rank need
+        not find the planted one.
+        """
         for name, rank in (("a.json", 2), ("b.json", 3)):
             users, feats, time, _ = planted_factors(40, 4, 10, rank, seed=rank)
             save_tensor3(tmp_path / name, kruskal_tensor(np.ones(rank), users, feats, time))
@@ -514,16 +567,17 @@ class TestAnalyze:
             "--max-iters", 60, "--out-dir", out,
         )
         assert code == 0
+        return json.loads((Path(out) / "rank_selection.json").read_text())["selected_rank"]
 
     def test_rank_scanned_on_another_input_is_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        self.scan_planted(tmp_path, "a.json", "o")
+        selected = self.scan_planted(tmp_path, "a.json", "o")
         before = {path.name: path.read_bytes() for path in Path("o").iterdir()}
         capsys.readouterr()
         assert run("analyze", "--input", "b.json", "--restarts", 1, "--out-dir", "o") == 1
         assert capsys.readouterr().err == (
-            "error: o/rank_selection.json: rank 2 was selected on a.json, not on --input b.json; "
-            "pass --rank to analyze this input\n"
+            f"error: o/rank_selection.json: rank {selected} was selected on a.json, "
+            "not on --input b.json; pass --rank to analyze this input\n"
         )
         assert {path.name: path.read_bytes() for path in Path("o").iterdir()} == before
 
@@ -531,10 +585,10 @@ class TestAnalyze:
     def test_rank_scanned_on_the_same_file_is_taken(self, tmp_path, monkeypatch, spelling):
         monkeypatch.chdir(tmp_path)
         scanned = tmp_path / "a.json" if spelling == "absolute" else spelling
-        self.scan_planted(tmp_path, scanned, "o")
+        selected = self.scan_planted(tmp_path, scanned, "o")
         analyzed = "./a.json" if spelling == "absolute" else tmp_path / "a.json"
         assert run("analyze", "--input", analyzed, "--restarts", 1, "--out-dir", "o") == 0
-        assert json.loads(Path("o/factor_model.json").read_text())["rank"] == 2
+        assert json.loads(Path("o/factor_model.json").read_text())["rank"] == selected
 
     def test_byte_identical_reruns(self, tmp_path):
         out = synth_and_ingest(tmp_path)

@@ -14,6 +14,7 @@ from matchfactor import (
     khatri_rao,
     kruskal_tensor,
     load_tensor3,
+    planted_factors,
     save_tensor3,
     unfold,
 )
@@ -23,6 +24,7 @@ from helpers import (
     kruskal_by_loops,
     load_tensor3_by_json_load,
     save_tensor3_by_json_dump,
+    traced_peak,
     unfold_by_loops,
 )
 
@@ -171,6 +173,31 @@ class TestKruskal:
         np.testing.assert_allclose(
             unfold(t, 1), (a * w) @ khatri_rao(c, b).T, atol=1e-12
         )
+
+    @staticmethod
+    def paper_and_random_factors():
+        """The paper's planted factors, and random ones at the package's
+        four features, ranks 1 to 6."""
+        users, features, time, _ = planted_factors(961, 4, 100, 3, seed=0)
+        yield np.ones(3), users, features, time
+        rng = np.random.default_rng(21)
+        for dims, rank in [((961, 4, 100), 5), ((36, 4, 24), 3), ((40, 4, 10), 2), ((7, 4, 3), 6)]:
+            yield rng.random(rank), *(rng.random((d, rank)) for d in dims)
+        yield rng.random(1), rng.random((20, 1)), rng.random((4, 1)), rng.random((12, 1))
+
+    def test_equals_the_fold_of_the_mode_1_product(self):
+        # the same R-term product per entry, summed in the same order, as the
+        # mode-1 unfolding identity folded back
+        for w, a, b, c in self.paper_and_random_factors():
+            dims = (a.shape[0], b.shape[0], c.shape[0])
+            expect = fold((a * w) @ khatri_rao(c, b).T, 1, dims)
+            assert np.array_equal(kruskal_tensor(w, a, b, c), expect)
+
+    def test_holds_about_one_tensor(self):
+        w, a, b, c = next(self.paper_and_random_factors())
+        t = kruskal_tensor(w, a, b, c)
+        assert t.flags.c_contiguous
+        assert traced_peak(lambda: kruskal_tensor(w, a, b, c)) < 1.1 * t.nbytes
 
 
 class TestFrobenius:
