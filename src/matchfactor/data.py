@@ -15,9 +15,9 @@ Input formats
     and ``participants`` (participantId -> stats block).  Per player,
     ``match_index`` is the chronological rank of the match (ties broken by
     file position).  The reader walks the file a block at a time with the
-    object walk of the tensor container (``tensor._walk_object``), decodes
-    one match at a time and keeps each seat in typed columns, a few bytes
-    per seat, so neither the text nor a parsed document is ever held whole.
+    object walk of the tensor container (``tensor._walk_object``) and
+    decodes one match at a time, so neither the text nor a parsed document
+    is ever held whole.
     Invalid UTF-8 anywhere is reported first, then invalid JSON anywhere (as
     ``json.loads`` reports it), then the first malformed match or seat in
     list order.
@@ -32,13 +32,13 @@ records with ``match_index < n_matches`` form a complete history
 ``0 .. n_matches-1`` (players with longer histories are truncated to their
 first ``n_matches`` matches); everyone else is dropped and counted.
 
-The csv and json-lines readers yield raw rows, parsed a chunk at a time
-and appended to typed columns; the riot reader judges each seat where it
-reads it and stages it in typed columns.  Either way the first malformed
-record in file order raises, and a record is held once, in a few dozen
-bytes.  ``ingest`` finds repeated keys by sorting one integer key per
-record, drops each column once it is used, and scatters the kept rows into
-the dense arrays of a ``Dataset`` one feature at a time.
+All three readers stage through one parser: each record, a riot seat
+too, is a raw row, parsed a chunk at a time and appended to typed
+columns, so the first malformed record in file order raises and a record
+is held once, in a few dozen bytes.  ``ingest`` finds repeated keys by
+sorting one integer key per record, drops each column once it is used,
+and scatters the kept rows into the dense arrays of a ``Dataset`` one
+feature at a time.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ CSV_HEADER = (
 )
 
 # rows parsed at once: bounds the raw values held while reading
-_CHUNK = 1024
+_CHUNK = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +176,14 @@ def _int_column(values) -> np.ndarray:
 
 
 _WINNER = {"0": False, "1": True}
+# an empty field counts as missing; a value that cannot be hashed fails the
+# check with TypeError, so its chunk is parsed row by row
+_MISSING = frozenset((None, ""))
+
+
+def _ints(values) -> list:
+    """``int(str(v))`` of each value: the values themselves when all are ints."""
+    return list(values) if {*map(type, values)} == {int} else list(map(int, map(str, values)))
 
 
 def _parse_chunk(chunk) -> list:
@@ -188,15 +196,15 @@ def _parse_chunk(chunk) -> list:
     """
     fields = list(zip(*(values for values, _, _ in chunk)))
     try:
-        if any(None in col or "" in col for col in fields):
+        if any(not _MISSING.isdisjoint(col) for col in fields):
             raise ValueError("missing field")
         players, match_index, *counts, winner, arena = fields
         fields = [
             list(map(str, players)),
-            list(map(int, map(str, match_index))),
+            _ints(match_index),
             *(list(map(float, col)) for col in counts),
             [w if w is True or w is False else _WINNER[str(w)] for w in winner],
-            list(map(int, map(str, arena))),
+            _ints(arena),
         ]
         block = np.array(fields[2:6])
         if min(fields[1]) < 0 or not ((block >= 0) & (block < np.inf)).all():
@@ -208,10 +216,11 @@ def _parse_chunk(chunk) -> list:
 
 
 class _Columns:
-    """Parsed rows in typed columns that grow a chunk at a time, so that a
-    record is held once: player code (an index into ``names``), match index,
-    the four counts, winner and arena.  An integer column turns into a list
-    once it meets a value beyond int64."""
+    """Rows ``(values, where, line)`` staged and parsed by ``_parse_chunk``
+    ``_CHUNK`` at a time into typed columns, so that a record is held once:
+    player code (an index into ``names``), match index, the four counts,
+    winner and arena.  An integer column turns into a list once it meets a
+    value beyond int64."""
 
     # each column's array typecode and dtype
     _TYPES = (
@@ -223,15 +232,25 @@ class _Columns:
     )
 
     def __init__(self):
-        # imported here, as in ``_Seats``
+        # imported here, so that no stage but an ingest maps the module
         from array import array
 
         self.names: dict[str, int] = {}
         self.columns = [array(typecode) for typecode, _ in self._TYPES]
+        self.rows: list = []
 
-    def extend(self, fields: list) -> None:
-        """Append the fields of ``_parse_chunk``."""
-        players, *rest = fields
+    def add(self, row) -> None:
+        """Stage one row; a full chunk is parsed, and its first invalid row raises."""
+        self.rows.append(row)
+        if len(self.rows) >= _CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Parse and append the staged rows; the first invalid one raises."""
+        chunk, self.rows = self.rows, []
+        if not chunk:
+            return
+        players, *rest = _parse_chunk(chunk)
         for name in dict.fromkeys(players):
             self.names.setdefault(name, len(self.names))
         codes = np.fromiter(map(self.names.__getitem__, players), np.int64, len(players))
@@ -260,19 +279,12 @@ def _read_columns(rows) -> tuple:
     names and the columns of ``_Columns``; close ``rows``."""
     columns = _Columns()
     with contextlib.closing(rows):
-        while True:
-            chunk = []
-            try:
-                for row in rows:
-                    chunk.append(row)
-                    if len(chunk) == _CHUNK:
-                        break
-            finally:
-                # a reader error raised after a bad row must not hide that row
-                if chunk:
-                    columns.extend(_parse_chunk(chunk))
-            if len(chunk) < _CHUNK:
-                break
+        try:
+            for row in rows:
+                columns.add(row)
+        finally:
+            # a reader error raised after a bad row must not hide that row
+            columns.flush()
     return columns.arrays()
 
 
@@ -327,48 +339,33 @@ def _json_lines_rows(path):
 
 
 def _riot_columns(path) -> tuple:
-    """The columns of ``_read_columns`` for a riot export.
-
-    A player's ``match_index`` is the chronological rank of the match, ties
-    broken by file position.  The staged seats precede the walk's error, if
-    any, and only their counts may be out of range, so the first such seat
-    raises before that error.
-    """
-    seats, error = _riot_seats(path)
-    names = list(seats.names)
-    player = np.frombuffer(seats.player, np.int64)
-    pos = np.frombuffer(seats.match, np.int64)
-    counts = np.frombuffer(seats.counts, np.float64).reshape(-1, len(FEATURES))
-    winner = np.frombuffer(seats.win, bool)
-    arena = _int_column(seats.arena)[pos]
-    valid = ((counts >= 0) & (counts < np.inf)).all(axis=1)
-    if not valid.all():
-        seat = int(np.argmin(valid))
-        row = (names[player[seat]], 0, *counts[seat].tolist(), bool(winner[seat]), arena[seat])
-        _parse_row(row, f"match at position {pos[seat]}", None)
-    if error is not None:
-        raise error
+    """The columns of ``_read_columns`` for a riot export: a player's
+    ``match_index`` is the chronological rank of the match, ties broken by
+    file position."""
+    columns, creation = _riot_seats(path)
+    names, player, pos, counts, winner, arena = columns.arrays()
     # lexsort is stable: seats of one player and gameCreation keep file order
-    order = np.lexsort((_int_column(seats.creation)[pos], player))
+    order = np.lexsort((_int_column(creation)[pos], player))
     played = np.bincount(player, minlength=len(names))
     match_index = np.empty_like(player)
     match_index[order] = np.arange(player.size)
     match_index -= (np.cumsum(played) - played)[player]
-    return names, player, match_index, counts.T, winner, arena
+    return names, player, match_index, counts, winner, arena
 
 
 def _riot_seats(path) -> tuple:
-    """The seats of a riot export's last ``matches`` list and the first
-    error of its matches, or None.
+    """The ``_Columns`` of the seats of a riot export's last ``matches``
+    list, with each seat's list position as its match index, and the
+    ``gameCreation`` of each match; raises the first error.
 
     Walks the export a block at a time with ``_walk_object`` and decodes
     one match at a time, so neither the text nor the matches are ever held
     whole; the other top-level members (scalars such as ``totalGames`` in a
     real response) are held, decoded, until the walk returns.  Invalid UTF-8
     anywhere wins over invalid JSON anywhere, which wins over a malformed
-    match, and the last ``matches`` key counts, as for ``json.loads``.  A
-    document the walk does not take is read again whole, on that path only,
-    for ``json.loads``'s exact error.
+    match or seat, and the last ``matches`` key counts, as for
+    ``json.loads``.  A document the walk does not take is read again whole,
+    on that path only, for ``json.loads``'s exact error.
     """
     try:
         with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -379,7 +376,10 @@ def _riot_seats(path) -> tuple:
     # only the walk of a list makes a tuple: a decoded JSON value never is one
     if not isinstance(doc.get("matches"), tuple):
         raise MalformedRecord("riot-match-json file must hold a 'matches' list")
-    return doc["matches"]
+    columns, creation, error = doc["matches"]
+    if error is not None:
+        raise error
+    return columns, creation
 
 
 def _raise_whole_text_error(path) -> None:
@@ -395,95 +395,66 @@ def _raise_whole_text_error(path) -> None:
 
 
 def _walk_matches(win: _Window, i: int) -> tuple:
-    """``((seats, first error), end)`` of the matches list that starts
-    after its ``[`` at ``i``, ``end`` past its ``]``.  After an error,
-    matches are decoded but not staged."""
-    seats, error = _Seats(), None
+    """``((columns, gameCreation of each match, first error), end)`` of the
+    matches list that starts after its ``[`` at ``i``, ``end`` past its
+    ``]``.  Each seat is a row of ``_Columns``, parsed as csv and json-lines
+    rows are; after an error, matches are decoded but not staged."""
+    columns, creation, error = _Columns(), [], None
     more, i = win.step(_first_item, i, "]")
     pos = 0
     while more:
         (match, more), i = win.step(_item, i, "]")
         if error is None:
             try:
-                seats.add(match, pos)
-            except MalformedRecord as exc:
+                for row in _seat_rows(match, pos, creation):
+                    columns.add(row)
+            except MalformedRecord as exc:  # a staged seat's, or this match's
                 error = exc
         pos += 1
-    return (seats, error), i
+    try:
+        columns.flush()  # the seats not yet parsed precede the error
+    except MalformedRecord as exc:
+        error = exc
+    return (columns, creation, error), i
 
 
 # the stats a seat keeps, in the order of CSV_HEADER[2:7]
 _STATS = ("assists", "deaths", "kills", "goldEarned", "win")
 
 
-class _Seats:
-    """The seats of one riot ``matches`` list, in typed columns.
-
-    Per seat: the player's code in ``names``, the match's list position,
-    the four counts and ``win``; per match: ``gameCreation`` and ``mapId``.
-    Each match and seat is judged as it is staged, except for counts out of
-    range, which ``_riot_columns`` finds among the staged seats at once.
-    """
-
-    def __init__(self):
-        # imported here, so that no stage but an ingest maps the module
-        from array import array
-
-        self.names: dict[str, int] = {}
-        self.player, self.match = array("q"), array("q")
-        self.counts, self.win = array("d"), bytearray()
-        # an array until a value beyond int64, then Python ints, as in ``_Columns``
-        self.creation = array("q")
-        self.arena: list[int] = []
-
-    def add(self, match, pos: int) -> None:
-        """Stage the seats of the riot match at list position ``pos``.  A
-        match that raises may leave some of its seats staged."""
-        where = f"match {pos}"
-        if not isinstance(match, dict):
-            raise MalformedRecord(f"{where}: not an object")
-        arena = _parse_int(match.get("mapId"), "mapId", where, None)
-        self.arena.append(arena)
-        creation = _parse_int(match.get("gameCreation", pos), "gameCreation", where, None)
-        try:
-            self.creation.append(creation)
-        except OverflowError:  # beyond int64
-            self.creation = [*self.creation, creation]
-        try:
-            identities = {}
-            for ident in match.get("participantIdentities", []):
-                pid = ident.get("participantId")
-                player = (ident.get("player") or {}).get("summonerName")
-                if pid is None or not player:
-                    raise MalformedRecord(f"{where}: incomplete participant identity")
-                identities[pid] = str(player)
-            for part in match.get("participants", []):
-                pid = part.get("participantId")
-                if pid not in identities:
-                    raise MalformedRecord(f"{where}: participant {pid} has no identity")
-                stats = part.get("stats") or {}
-                values = list(map(stats.get, _STATS))
-                if None in values:
-                    missing = [k for k, v in zip(CSV_HEADER[2:7], values) if v is None]
-                    raise MalformedRecord(f"{where}: missing fields {missing}")
-                player = identities[pid]
-                win = values.pop()
-                try:
-                    if win is not True and win is not False:
-                        raise TypeError("win is not a boolean")
-                    self.counts.fromlist(values)  # a non-number, or an int past a float, raises
-                except (TypeError, OverflowError):  # and leaves the counts as they were
-                    row = (player, 0, *values, win, arena)
-                    *values, win = _parse_row(row, f"match at position {pos}", None)[2:7]
-                    self.counts.fromlist(values)
-                self.win.append(win)
-                self.player.append(self.names.setdefault(player, len(self.names)))
-                self.match.append(pos)
-        except (AttributeError, TypeError):  # a non-object, or a list as participantId
-            raise MalformedRecord(
-                f"{where}: participants, identities, their player and stats must be objects"
-                " and participantId a scalar"
-            ) from None
+def _seat_rows(match, pos: int, creation: list):
+    """The rows of the seats of the riot match at list position ``pos``,
+    after its ``gameCreation`` is appended to ``creation``.  A malformed
+    match raises where it is found, after the rows of the seats before it."""
+    where = f"match {pos}"
+    if not isinstance(match, dict):
+        raise MalformedRecord(f"{where}: not an object")
+    arena = _parse_int(match.get("mapId"), "mapId", where, None)
+    creation.append(_parse_int(match.get("gameCreation", pos), "gameCreation", where, None))
+    seat = f"match at position {pos}"
+    try:
+        identities = {}
+        for ident in match.get("participantIdentities", []):
+            pid = ident.get("participantId")
+            player = (ident.get("player") or {}).get("summonerName")
+            if pid is None or not player:
+                raise MalformedRecord(f"{where}: incomplete participant identity")
+            identities[pid] = str(player)
+        for part in match.get("participants", []):
+            pid = part.get("participantId")
+            if pid not in identities:
+                raise MalformedRecord(f"{where}: participant {pid} has no identity")
+            stats = part.get("stats") or {}
+            row = (identities[pid], pos, *map(stats.get, _STATS), arena)
+            if None in row:
+                missing = [k for k, v in zip(CSV_HEADER[2:7], row[2:7]) if v is None]
+                raise MalformedRecord(f"{where}: missing fields {missing}")
+            yield row, seat, None
+    except (AttributeError, TypeError):  # a non-object, or a list as participantId
+        raise MalformedRecord(
+            f"{where}: participants, identities, their player and stats must be objects"
+            " and participantId a scalar"
+        ) from None
 
 
 # each reader returns the player names and the columns of ``_Columns.arrays``

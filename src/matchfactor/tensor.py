@@ -108,22 +108,6 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     return np.reshape(np.moveaxis(t, axis, 0), (t.shape[axis], -1), order="F")
 
 
-def fold(m: np.ndarray, mode: int, dims: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of :func:`unfold`: rebuild the tensor of shape ``dims``."""
-    m = as_matrix(m)
-    axis = _check_mode(mode)
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or min(dims) < 1:
-        raise ValueError(f"dims must be three positive integers, got {dims}")
-    rest = [d for i, d in enumerate(dims) if i != axis]
-    if m.shape != (dims[axis], rest[0] * rest[1]):
-        raise ValueError(
-            f"matrix shape {m.shape} inconsistent with dims {dims} for mode {mode}"
-        )
-    stacked = np.reshape(m, (dims[axis], rest[0], rest[1]), order="F")
-    return np.ascontiguousarray(np.moveaxis(stacked, 0, axis))
-
-
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Column-wise Kronecker product of two matrices with equal column counts.
 

@@ -638,11 +638,40 @@ class TestIntegerDigitLimit:
         assert_same_as_reference(path, "riot-match-json")
 
 
-class TestChunkBoundary:
-    """At the default chunk size, the first bad row in file order raises,
-    with its line, whether it ends one chunk or starts the next."""
+def three_seat_matches(rows):
+    """Riot matches of csv-style rows, three consecutive rows to a match
+    (so that a chunk of 512 rows ends inside a match), the k-th match
+    created at k; a field of digits is a number, any other a string."""
+    keys = ("assists", "deaths", "kills", "goldEarned", "win")
+    matches = []
+    for first in range(0, len(rows), 3):
+        seats = [
+            [int(v) if v.isdigit() else v for v in row.split(",")]
+            for row in rows[first : first + 3]
+        ]
+        matches.append(
+            {
+                "mapId": seats[0][7],
+                "gameCreation": len(matches),
+                "participantIdentities": [
+                    {"participantId": n, "player": {"summonerName": seat[0]}}
+                    for n, seat in enumerate(seats, 1)
+                ],
+                "participants": [
+                    {"participantId": n, "stats": dict(zip(keys, [*seat[2:6], seat[6] == 1]))}
+                    for n, seat in enumerate(seats, 1)
+                ],
+            }
+        )
+    return matches
 
-    @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+
+class TestChunkBoundary:
+    """At the default chunk size, the first bad row (a riot seat too) in
+    file order raises, with its line, whether it ends one chunk or starts
+    the next."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json-lines", "riot-match-json"])
     @pytest.mark.parametrize(
         "bad", [(0,), (1,), (0, 1), (1, 2)], ids=["last", "next", "both", "later"]
     )
@@ -661,11 +690,34 @@ class TestChunkBoundary:
                 json.dumps(dict(zip(CSV_HEADER, row.split(",")))) + "\n" for row in rows
             )
         line = bad_rows[0] + (2 if fmt == "csv" else 1)
-        path = write(tmp_path, "export", text)
         message = f"^line {line}: \\w+ record: assists is not numeric"
+        if fmt == "riot-match-json":
+            text = json.dumps({"matches": three_seat_matches(rows)})
+            message = f"^match at position {bad_rows[0] // 3}: assists is not numeric"
+        path = write(tmp_path, "export", text)
         with pytest.raises(MalformedRecord, match=message):
             ingest(path, fmt, n_matches=10)
         assert_same_as_reference(path, fmt)
+
+    @pytest.mark.parametrize("later", [True, False], ids=["match-after", "match-before"])
+    def test_unparsed_riot_seat_and_a_match_without_map_id(self, tmp_path, later):
+        # the bad seat opens the second chunk, which is still filling when
+        # the match without mapId is read: the first of the two raises
+        chunk = data_module._CHUNK
+        rows = [f"p{r // 10},{r % 10},1,2,3,4000,1,11" for r in range(3 * chunk)]
+        matches = three_seat_matches(rows)
+        matches[chunk // 3]["participants"][chunk % 3]["stats"]["assists"] = "x"
+        without = chunk // 3 + (2 if later else -2)
+        del matches[without]["mapId"]
+        path = write(tmp_path, "d.json", json.dumps({"matches": matches}))
+        message = (
+            f"^match at position {chunk // 3}: assists is not numeric"
+            if later
+            else f"^match {without}: mapId is not an integer"
+        )
+        with pytest.raises(MalformedRecord, match=message):
+            ingest(path, "riot-match-json", n_matches=10)
+        assert_same_as_reference(path, "riot-match-json")
 
 
 def with_bad_line(text, line_no, newline="\n"):

@@ -19,6 +19,7 @@ from matchfactor import (
     core_consistency,
     decompose,
     fit_restarts,
+    khatri_rao,
     kruskal_tensor,
     load_factor_model,
     model_from_doc,
@@ -27,8 +28,10 @@ from matchfactor import (
     rank_scan,
     save_factor_model,
     select_best_model,
+    unfold,
 )
 
+from matchfactor._rng import SeededRandom
 from matchfactor.decompose import _max_assignment
 
 from helpers import kruskal_by_loops, permute_components
@@ -177,6 +180,47 @@ class TestDecompose:
     def test_config_rejects_negative_seed(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             DecomposeConfig(seed=-1)
+
+
+def textbook_sweep(t, rank, seed):
+    """One ANLS sweep as the textbook writes it, from the seeded start of
+    ``decompose``: each row of a mode's factor by ``scipy.optimize.nnls``,
+    fitting that row of ``unfold(t, mode)`` with the Khatri-Rao product of
+    the other two factors, and the columns normalized after each mode.
+    Returns the weights and the three factors."""
+    from scipy.optimize import nnls
+
+    rng = SeededRandom(seed)
+    factors = [1.0 - rng.random((d, rank)) for d in t.shape]
+    factors = [f / np.linalg.norm(f, axis=0) for f in factors]
+    for mode in range(3):
+        # the other two factors, the later mode first: X_(n) = F_n (F_q (.) F_p)^T
+        p, q = (m for m in range(3) if m != mode)
+        design = khatri_rao(factors[q], factors[p])
+        solved = np.array([nnls(design, row)[0] for row in unfold(t, mode + 1)])
+        norms = np.linalg.norm(solved, axis=0)
+        factors[mode] = solved / np.where(norms > 0, norms, 1.0)
+    return norms, factors
+
+
+class TestSweepOracle:
+    """One sweep of ``decompose`` agrees with the textbook sweep from the
+    same start, in the reconstruction and the fit."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_sweep(self, rank, seed):
+        gen = np.random.default_rng(1000 * rank + seed)
+        t = gen.random(tuple(gen.integers(2, 7, size=3)))
+        cfg = DecomposeConfig(n_restarts=1, max_outer_iters=1, seed=seed)
+        model = decompose(t, rank, cfg)
+        assert model.iterations == 1
+        weights, factors = textbook_sweep(t, rank, seed)
+        expect = kruskal_tensor(weights, *factors)
+        got = kruskal_tensor(model.weights, *model.factors)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-10)
+        fit = np.linalg.norm(t - expect) / np.linalg.norm(t)
+        assert abs(model.fit - fit) <= 1e-10, (model.fit, fit)
 
 
 class TestFailedRestarts:
