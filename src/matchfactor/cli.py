@@ -154,6 +154,8 @@ def cmd_rank_scan(args: argparse.Namespace) -> tuple[dict, list[str], str]:
             _fmt(rec.core_consistency),
             _fmt(rec.fit),
             int(rec.converged),
+            # components that collapsed to weight 0: the fit is of a lower rank
+            "" if rec.failed else int(np.count_nonzero(rec.model.weights == 0.0)),
             rec.error or "",
         ]
         for rec in result.records
@@ -169,7 +171,8 @@ def cmd_rank_scan(args: argparse.Namespace) -> tuple[dict, list[str], str]:
     }
     artifacts = {
         "rank_scan.csv": (
-            ["rank", "restart", "seed", "core_consistency", "fit", "converged", "error"],
+            ["rank", "restart", "seed", "core_consistency", "fit", "converged", "zero_weights",
+             "error"],
             rows,
         ),
         "rank_selection.json": {

@@ -35,10 +35,11 @@ first ``n_matches`` matches); everyone else is dropped and counted.
 All three readers stage through one parser: each record, a riot seat
 too, is a raw row, parsed a chunk at a time and appended to typed
 columns, so the first malformed record in file order raises and a record
-is held once, in a few dozen bytes.  ``ingest`` finds repeated keys by
-sorting one integer key per record, drops each column once it is used,
-and scatters the kept rows into the dense arrays of a ``Dataset`` one
-feature at a time.
+is held once, in a few dozen bytes.  ``ingest`` finds repeated
+(player, match_index) keys with one stable sort of the record columns,
+which compares indices past int64 as Python ints, drops each column once
+it is used, and scatters the kept rows into the dense arrays of a
+``Dataset`` one feature at a time.
 """
 
 from __future__ import annotations
@@ -529,33 +530,18 @@ def ingest(
     )
 
 
-def _keys(player, match_index, in_arena) -> np.ndarray:
-    """One int64 per in-arena row, equal where its (player, match_index)
-    pair is; indices are non-negative."""
-    index = match_index[in_arena]
-    span = int(index.max(initial=0)) + 1
-    if index.dtype == object or span * (int(player.max(initial=0)) + 1) >= 2**63:
-        index = np.unique(index, return_inverse=True)[1].ravel()  # ranks fit in int64
-        span = index.size
-    key = player[in_arena]
-    key *= span
-    key += index
-    return key
-
-
 def _first_repeat(player, match_index, in_arena) -> int | None:
-    """The first in-arena row whose (player, match_index) pair repeats an
-    earlier in-arena row's, or None.  A file without a repeat pays only for
-    sorting its keys in place; one with a repeat, for the stable sort that
-    finds the first."""
-    key = _keys(player, match_index, in_arena)
-    key.sort()
-    if not (key[1:] == key[:-1]).any():
-        return None
-    key = _keys(player, match_index, in_arena)
-    order = np.argsort(key, kind="stable")
-    repeats = order[1:][np.diff(key[order]) == 0]
-    return int(np.flatnonzero(in_arena)[repeats.min()])
+    """The first in-arena row whose (player, match_index) pair repeats an earlier
+    in-arena row's, or None.  A stable sort puts the in-arena rows last, each
+    pair's rows in file order: every row after the first of its run repeats it."""
+    order = np.lexsort((match_index, player, in_arena))
+    order = order[order.size - np.count_nonzero(in_arena) :]
+    same = np.ones(max(order.size - 1, 0), dtype=bool)
+    for column in (player, match_index):  # gathered in sorted order one at a time
+        column = column[order]
+        same &= column[1:] == column[:-1]
+    repeats = order[1:][same]
+    return int(repeats.min()) if repeats.size else None
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,18 @@ def _check_k(k: int, n: int) -> None:
         raise ValueError(f"k must be in [1, {n}], got {k}")
 
 
+def _check_distinct_rows(t: np.ndarray, k: int) -> None:
+    """Raise unless ``t`` has at least ``k`` distinct player rows: identical
+    rows get identical user-factor rows, so k-means could not populate k
+    clusters.  The scan stops at the k-th distinct row."""
+    seen = set()
+    for row in t:
+        seen.add((row + 0.0).tobytes())  # + 0.0 turns -0.0 into 0.0
+        if len(seen) == k:
+            return
+    raise ValueError(f"k must be at most the {len(seen)} distinct player rows, got {k}")
+
+
 def _win_rate_inputs(winner_matrix, labels, mode: str) -> tuple[np.ndarray, np.ndarray]:
     w = np.asarray(winner_matrix, dtype=np.float64)
     if w.ndim != 2:
@@ -334,20 +346,18 @@ def _cluster_series(labels: np.ndarray, shape: tuple[int, int], series) -> Clust
     array, so the bits are the same except where K is 1 and J is not: numpy
     adds a (members x 1) column pairwise, not row by row.
     """
-    clusters = np.unique(labels)
+    # with counts, np.unique does not import numpy.ma
+    clusters, sizes = np.unique(labels, return_counts=True)
     means = np.zeros((clusters.size, *shape))
     stderrs = np.zeros_like(means)
-    sizes = []
-    for ci, c in enumerate(clusters):
+    for ci, (c, n) in enumerate(zip(clusters, sizes.tolist())):
         members = np.flatnonzero(labels == c)
-        n = members.size
-        sizes.append(n)
         for j in range(shape[0]):
             rows = series(members, j)
             means[ci, j] = rows.mean(axis=0)
             if n > 1:
                 stderrs[ci, j] = rows.std(axis=0, ddof=1) / np.sqrt(n)
-    return ClusterTrajectories(means=means, stderrs=stderrs, cluster_sizes=tuple(sizes))
+    return ClusterTrajectories(means=means, stderrs=stderrs, cluster_sizes=tuple(sizes.tolist()))
 
 
 def temporal_modulation(model: FactorModel, labels: np.ndarray) -> ClusterTrajectories:
@@ -390,12 +400,23 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     if v.size < 2:
         raise ValueError("bandwidth selection needs at least two values")
     std = float(v.std(ddof=1))
-    q75, q25 = np.percentile(v, [75, 25])
-    iqr = float(q75 - q25)
+    v = np.sort(v)
+    iqr = _percentile(v, 0.75) - _percentile(v, 0.25)
     spread = min(std, iqr / 1.34) if iqr > 0 else std
     if spread == 0.0:
         raise ConstantColumn("zero-variance sample has no data-driven bandwidth")
     return 0.9 * spread * v.size ** (-0.2)
+
+
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """The ``q`` quantile, ``0 <= q < 1``, of a sorted sample by numpy's
+    default (linear) rule, bit for bit: ``np.percentile`` imports
+    ``numpy.ma`` on first use."""
+    at = (ordered.size - 1) * q
+    below = math.floor(at)
+    a, b, t = float(ordered[below]), float(ordered[below + 1]), at - below
+    # numpy interpolates from the nearer end
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def kde_grid(values: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -640,8 +661,8 @@ def analyze(
     ``sweep_warnings`` why the others did not.  Win-rate stats that a
     cluster cannot give (one player, or no spread in its win rates) leave
     ``win_rates`` None and say why in ``win_rate_error``.  Every argument is
-    checked before the first fit.  Failed restarts stay in ``records``;
-    nothing is printed.
+    checked before the first fit, ``k`` also against the number of distinct
+    player rows.  Failed restarts stay in ``records``; nothing is printed.
     """
     cfg = cfg or DecomposeConfig()
     t = _validate_decompose_inputs(t, [rank])
@@ -649,6 +670,7 @@ def analyze(
     k = rank if k is None else k
     n = t.shape[0]
     _check_k(k, n)
+    _check_distinct_rows(t, k)
     if winner is not None:  # any labels of one entry per player stand in for the clusters
         _win_rate_inputs(winner, np.zeros(n, dtype=int), kde_mode)
 

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import csv
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import matchfactor
-from matchfactor import kruskal_tensor, load_tensor3, planted_factors, save_tensor3
+from matchfactor import kruskal_tensor, load_tensor3, patterns, planted_factors, save_tensor3
 from matchfactor.cli import build_parser, main
 
 from test_data import RIOT_SHAPES, csv_to_jsonl, csv_to_riot_json, riot_fixture_with, with_bad_line
@@ -173,6 +174,28 @@ class TestStartup:
         loaded = json.loads(last_line_of(code, json.dumps(stages)))
         assert loaded == dict.fromkeys(stages, False)
         assert json.loads((out / "clusters.json").read_text())["k"] >= 2  # analyze clustered
+
+    @pytest.mark.skipif(
+        int(np.__version__.split(".")[0]) < 2, reason="before numpy 2, `import numpy` loads numpy.ma"
+    )
+    def test_analyze_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.percentile and a bare np.unique import numpy.ma on first use
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SMALL_SPEC))
+        out = tmp_path / "out"
+        assert run("synth", "--spec", spec, "--out-dir", out) == 0
+        assert run("ingest", "--input", out / "synthetic.csv", "--matches", 24, "--out-dir", out) == 0
+        argv = ["analyze", "--input", str(out / "tensor.json"), "--rank", "3", "--restarts", "2",
+                "--out-dir", str(out)]
+        code = (
+            "import json, sys\n"
+            "from matchfactor.cli import main\n"
+            "assert main(json.loads(sys.argv[1])) == 0\n"
+            "print('numpy.ma' in sys.modules)"
+        )
+        assert last_line_of(code, json.dumps(argv)) == "False"
+        tests = json.loads((out / "win_rate_tests.json").read_text())
+        assert tests["pairwise"]  # the bandwidths were taken
 
 
 def option_strings(parser) -> set[str]:
@@ -427,6 +450,16 @@ class TestRankScan:
         lines = (out / "rank_scan.csv").read_text().strip().splitlines()
         assert len(lines) == 2 + 4 * 3  # comment + header + rank*restart rows
 
+    def test_collapsed_restarts_are_marked(self, tmp_path):
+        # on the noiseless planted rank-2 tensor one short restart per rank
+        # ends with a component of weight 0 at ranks 2 and 3
+        TestAnalyze.scan_planted(tmp_path, tmp_path / "a.json", tmp_path / "o")
+        lines = (tmp_path / "o" / "rank_scan.csv").read_text().splitlines()[1:]
+        rows = list(csv.DictReader(lines))
+        assert [(row["rank"], row["zero_weights"]) for row in rows] == [
+            ("1", "0"), ("2", "1"), ("3", "1")
+        ]
+
     def test_failed_restarts_are_warnings(self, tmp_path, monkeypatch, capsys):
         path = TestMalformedInputs.planted_container(tmp_path)
         out = tmp_path / "o"
@@ -438,6 +471,8 @@ class TestRankScan:
             for rank in (1, 2)
         ]
         assert json.loads((out / "rank_selection.json").read_text())["failed_restarts"] == 2
+        lines = (out / "rank_scan.csv").read_text().splitlines()[1:]
+        assert [row["zero_weights"] for row in csv.DictReader(lines)] == ["0", "", "0", ""]
 
     def test_no_restart_succeeding_is_an_error(self, tmp_path, monkeypatch, capsys):
         users, feats, time, _ = planted_factors(12, 4, 6, 2, seed=0)
@@ -642,7 +677,7 @@ class TestAnalyze:
         assert not (out / "factor_model.json").exists()
 
     @pytest.mark.parametrize("case", ["--k 0", "--membership-fraction 2", "unpopulated k"])
-    def test_failed_stage_leaves_out_dir_as_it_was(self, tmp_path, capsys, case):
+    def test_failed_stage_leaves_out_dir_as_it_was(self, tmp_path, monkeypatch, capsys, case):
         # a flag fails before the fit; k-means fails after it, with the model
         # already computed
         out = synth_and_ingest(tmp_path)
@@ -650,11 +685,16 @@ class TestAnalyze:
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         capsys.readouterr()
         if case == "unpopulated k":
-            # two distinct players: k-means cannot populate the rank's 3 clusters
-            rows = np.random.default_rng(5).uniform(0.1, 1.0, size=(2, 4, 10))
-            container = tmp_path / "two_players.json"
-            save_tensor3(container, rows[np.repeat([0, 1], 6)])
-            code = self.analyze(out, "--input", container)  # the last --input counts
+            calls = fail_seeds(monkeypatch, set())
+
+            def kmeans(points, k, seed=0):
+                raise matchfactor.EmptyClusterUnrecoverable(
+                    f"all 10 initializations failed to keep {k} clusters populated"
+                )
+
+            monkeypatch.setattr(patterns, "kmeans", kmeans)
+            code = self.analyze(out)
+            assert calls == [0, 1]  # both restarts were fitted
         else:
             code = self.analyze(out, *case.split())
         assert code == 1
@@ -692,6 +732,30 @@ class TestAnalyze:
         kwargs = {"winner": np.array(metadata["winner"]), **kwargs}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             matchfactor.analyze(t, 3, **kwargs)
+        assert calls == []
+
+    def test_too_few_distinct_rows_fail_before_the_first_fit(self, tmp_path, monkeypatch, capsys):
+        # two distinct player rows give two distinct user-factor rows, so
+        # k-means cannot populate the rank's 3 clusters
+        rows = np.random.default_rng(5).uniform(0.1, 1.0, size=(2, 4, 10))
+        container = tmp_path / "two_players.json"
+        save_tensor3(container, rows[np.repeat([0, 1], 6)])
+        calls = fail_seeds(monkeypatch, set())
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert self.analyze(out, "--input", container) == 1  # the last --input counts
+        message = "k must be at most the 2 distinct player rows, got 3"
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+        assert not out.exists() or not any(out.iterdir())
+        t, _ = load_tensor3(container)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            matchfactor.analyze(t, 3)
+        assert calls == []
+        # a negative zero is the same value as a zero
+        signed = rows[np.repeat([0, 0, 1], 4)]
+        signed[:4, 0, 0], signed[4:8, 0, 0] = -0.0, 0.0
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            matchfactor.analyze(signed, 3)
         assert calls == []
 
     def test_library_analyze_returns_what_the_cli_writes(self, tmp_path):

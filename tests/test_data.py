@@ -335,6 +335,69 @@ class TestDatasetBuild:
         np.testing.assert_array_equal(w, [[1, 0, 1], [0, 1, 0]])
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+class TestIntegersBeyondInt64:
+    """Match indices and arenas past int64 are staged as Python ints and
+    compared as such."""
+
+    def ingest_with(self, tmp_path, fmt, rows):
+        text = CSV_FIXTURE + "".join(f"{row}\n" for row in rows)
+        if fmt == "json-lines":
+            return ingest(write(tmp_path, "d.jsonl", csv_to_jsonl(text)), fmt, n_matches=3)
+        return ingest(write(tmp_path, "d.csv", text), fmt, n_matches=3)
+
+    def test_late_match_is_read_and_truncated(self, tmp_path, fmt):
+        result = self.ingest_with(tmp_path, fmt, [f"alice,{2**70},1,1,1,1000,0,11"])
+        plain = self.ingest_with(tmp_path, fmt, [])
+        assert_same_dataset(result.dataset, plain.dataset)
+        assert result.records_read == plain.records_read + 1
+        assert result.records_other_arena == 0
+
+    def test_repeat_beyond_int64(self, tmp_path, fmt):
+        rows = [f"p0,{2**70},1,1,1,1000,0,11"] * 2
+        with pytest.raises(DuplicateKey, match=r"\('p0', 1180591620717411303424\)$"):
+            self.ingest_with(tmp_path, fmt, rows)
+
+    def test_repeat_near_the_top_of_int64(self, tmp_path, fmt):
+        rows = [f"p0,{2**62},1,1,1,1000,0,11", f"p0,{2**62 + 1},1,1,1,1000,0,11",
+                f"p0,{2**62 + 1},2,2,2,2000,1,11"]
+        with pytest.raises(DuplicateKey, match=rf"\('p0', {2**62 + 1}\)$"):
+            self.ingest_with(tmp_path, fmt, rows)
+
+    def test_arena_beyond_int64_is_another_arena(self, tmp_path, fmt):
+        result = self.ingest_with(tmp_path, fmt, [f"carol,0,1,1,1,5000,1,{2**70}"])
+        plain = self.ingest_with(tmp_path, fmt, [])
+        assert_same_dataset(result.dataset, plain.dataset)
+        assert result.records_read == plain.records_read + 1
+        assert result.records_other_arena == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hst.lists(
+        hst.tuples(
+            hst.integers(0, 3),
+            hst.integers(0, 4) | hst.sampled_from([2**62, 2**63 - 1, 2**70]),
+            hst.booleans(),
+        ),
+        max_size=30,
+    )
+)
+def test_first_repeat_is_the_earliest_repeated_in_arena_pair(records):
+    seen, expected = set(), None
+    for row, (player, index, in_arena) in enumerate(records):
+        if in_arena and (player, index) in seen and expected is None:
+            expected = row
+        if in_arena:
+            seen.add((player, index))
+    player, index, in_arena = (list(c) for c in zip(*records)) if records else ([], [], [])
+    index = data_module._int_column(index)
+    got = data_module._first_repeat(
+        np.array(player, dtype=np.int64), index, np.array(in_arena, dtype=bool)
+    )
+    assert got == expected
+
+
 class TestWriteCsvBytes:
     """``write_csv`` writes exactly the bytes of the per-value writer."""
 
