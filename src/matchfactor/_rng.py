@@ -5,15 +5,13 @@
 fits' random starts, k-means++ seeding, and the synthetic generator's planted
 factors, noise and wins.  ``random`` is loaded at start-up anyway and seeds
 from an integer without ``hashlib``, while the first use of ``numpy.random``
-would load that package and add about 6 MB to a stage's peak RSS.  Callers
-import this module inside the functions that draw, so a stage that draws
-nothing never loads it.
+would load that package and add about 6 MB to a stage's peak RSS.
 
-Uniforms are ``k * 2**-53`` for the top 53 bits ``k`` of each little-endian
-64-bit word of ``randbytes``, so a seed gives the same values on every
-platform.  Normals are Box-Muller pairs of one 32-bit uniform radius and
-one 32-bit uniform angle, drawn ``_BLOCK`` values at a time straight into
-the result; the largest normal they give is 6.66 in magnitude.
+There is one kind of uniform: ``k * 2**-53`` for the top 53 bits ``k`` of
+each little-endian 64-bit word of ``randbytes``, so a seed gives the same
+values on every platform.  Normals are Box-Muller pairs of one such uniform
+radius and one such uniform angle, drawn ``_BLOCK`` values at a time straight
+into the result; the largest normal they give is 8.57 in magnitude.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import random
 
 import numpy as np
 
-# normals drawn per Box-Muller block: its temporaries stay near 0.3 MB
+# normals drawn per Box-Muller block: its temporaries stay near 0.4 MB
 _BLOCK = 1 << 14
 
 
@@ -37,24 +35,18 @@ class SeededRandom:
             raise ValueError(f"seed must be >= 0, got {seed}")
         self._gen = random.Random(seed)
 
-    def _uniforms(self, n: int, bits: int = 53) -> np.ndarray:
-        """``n`` uniforms on [0, 1), each on the 2**-``bits`` grid (53 or 32)."""
-        if bits == 53:
-            words = np.frombuffer(self._gen.randbytes(8 * n), dtype="<u8") >> np.uint64(11)
-        else:
-            words = np.frombuffer(self._gen.randbytes(4 * n), dtype="<u4")
-        out = words.astype(np.float64)
-        out *= 2.0**-bits
-        return out
-
     def random(self, shape) -> np.ndarray:
         """Uniforms on [0, 1) in an array of ``shape``."""
-        return self._uniforms(int(np.prod(shape))).reshape(shape)
+        n = int(np.prod(shape))
+        words = np.frombuffer(self._gen.randbytes(8 * n), dtype="<u8") >> np.uint64(11)
+        out = words.astype(np.float64).reshape(shape)
+        out *= 2.0**-53
+        return out
 
     def uniform(self, low: float, high: float, size=None):
         """Uniforms on [low, high): a float when ``size`` is None, else an array."""
         if size is None:
-            return low + (high - low) * float(self._uniforms(1)[0])
+            return low + (high - low) * float(self.random(()))
         out = self.random(size)
         out *= high - low
         out += low
@@ -67,9 +59,7 @@ class SeededRandom:
         for start in range(0, flat.size, _BLOCK):
             block = flat[start : start + _BLOCK]
             pairs = (block.size + 1) // 2
-            # 32 bits each for a pair's radius and angle: half the bytes of
-            # two 53-bit uniforms, and the bytes are most of the cost
-            u = self._uniforms(2 * pairs, bits=32)
+            u = self.random(2 * pairs)
             radius, angle = u[:pairs], u[pairs:]
             # 1 - u lies in (0, 1], so the log is finite
             np.subtract(1.0, radius, out=radius)
@@ -98,4 +88,4 @@ class SeededRandom:
         # the last entry is then exactly 1 > u, and a zero weight repeats
         # its predecessor, which no u falls between
         cdf /= cdf[-1]
-        return int(np.searchsorted(cdf, self._uniforms(1)[0], side="right"))
+        return int(np.searchsorted(cdf, self.random(()), side="right"))

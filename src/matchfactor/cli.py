@@ -48,9 +48,11 @@ def _write_csv(path: Path, config: dict, header: list[str], rows) -> None:
 
 
 def _write_artifacts(out: Path, config: dict, artifacts: dict) -> None:
-    """Write each artifact into ``out`` under its file name: a dict as JSON
-    with the config echo added, a ``(header, rows)`` pair as CSV with its
-    provenance line, and a callable ``(path, config)`` writes its own file."""
+    """Write each artifact into ``out``, created if absent, under its file
+    name: a dict as JSON with the config echo added, a ``(header, rows)``
+    pair as CSV with its provenance line, and a callable ``(path, config)``
+    writes its own file."""
+    out.mkdir(parents=True, exist_ok=True)
     for name, content in artifacts.items():
         path = out / name
         if isinstance(content, dict):
@@ -479,10 +481,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         artifacts, warnings, message = args.func(args)
-        _write_artifacts(out, _config_echo(args), artifacts)
+        _write_artifacts(Path(args.out_dir), _config_echo(args), artifacts)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2

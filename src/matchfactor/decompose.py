@@ -41,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._rng import SeededRandom
 from .errors import DegenerateTensor, MatchFactorError
 from .nnls import NnlsProblem, solve_nnls_bpp
 from .tensor import (
@@ -163,8 +164,6 @@ def _normalize_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _anls_single(t: np.ndarray, rank: int, seed: int, cfg: DecomposeConfig) -> FactorModel:
     """One ANLS fit of a validated tensor from a seeded random start."""
-    from ._rng import SeededRandom
-
     rng = SeededRandom(seed)
     norm_t = frobenius_norm(t)
     dense_below_sq = (_DENSE_FIT_BELOW * norm_t) ** 2

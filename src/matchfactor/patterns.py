@@ -12,10 +12,10 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._rng import SeededRandom
 from .decompose import (
     DecomposeConfig,
     FactorModel,
@@ -25,9 +25,6 @@ from .decompose import (
 )
 from .errors import ConstantColumn, EmptyClusterUnrecoverable
 from .tensor import as_matrix, as_tensor3
-
-if TYPE_CHECKING:
-    from ._rng import SeededRandom
 
 # k-means++ initializations per k-means call; Lloyd iterations per run, and
 # the relative inertia change that ends a run early.
@@ -237,8 +234,6 @@ def kmeans(
     """
     points = as_matrix(points)
     _check_k(k, points.shape[0])
-
-    from ._rng import SeededRandom
 
     rng = SeededRandom(seed)
     best: tuple[np.ndarray, np.ndarray, float] | None = None

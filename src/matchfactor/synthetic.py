@@ -13,9 +13,10 @@ an all-zero row, which pins every feature's minimum at zero so that min-max
 normalization is a pure per-feature rescaling and the planted model remains
 exactly representable downstream.
 
-Every draw (planted factors, noise, wins) comes from the package's seeded
-generator ``_rng.SeededRandom``, not from ``numpy.random``, so ``synth``
-never loads ``numpy.random``.
+Every draw comes from one stream per dataset: a single
+``_rng.SeededRandom(seed)`` draws the planted factors, then the noise, then
+the wins, so the noise never replays the draws that planted the factors.
+``synth`` never loads ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from ._rng import SeededRandom
+from .data import FEATURES, Dataset
 from .decompose import FactorModel, _normalize_columns
 from .tensor import kruskal_tensor
 
@@ -69,7 +71,13 @@ class SyntheticSpec:
             )
         if len(self.signatures) != self.rank:
             raise ValueError("need one feature signature per component")
-        n_features = len(self.feature_scales)
+        # a record carries exactly these count columns, one per scale
+        if len(self.feature_scales) != len(FEATURES):
+            raise ValueError(
+                f"need one feature scale per feature ({', '.join(FEATURES)}), "
+                f"got {len(self.feature_scales)}"
+            )
+        n_features = len(FEATURES)
         for sig in self.signatures:
             if not sig or any(not 0 <= f < n_features for f in sig):
                 raise ValueError(f"invalid feature signature {sig}")
@@ -114,9 +122,30 @@ def planted_factors(
     elsewhere; features follow the signature sets; time series are smooth
     sinusoids bounded away from zero.
     """
-    from ._rng import SeededRandom
+    return _planted_factors(
+        SeededRandom(seed),
+        n_users,
+        n_features,
+        n_steps,
+        rank,
+        signatures,
+        group_sizes,
+        anchor_zero_row,
+    )
 
-    rng = SeededRandom(seed)
+
+def _planted_factors(
+    rng: SeededRandom,
+    n_users: int,
+    n_features: int,
+    n_steps: int,
+    rank: int,
+    signatures: tuple[tuple[int, ...], ...] | None,
+    group_sizes: tuple[int, ...] | None,
+    anchor_zero_row: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``planted_factors`` drawing from ``rng``, which it leaves just past
+    the draws it made."""
     if group_sizes is None:
         base = n_users // rank
         group_sizes = tuple(
@@ -198,18 +227,17 @@ def generate_synthetic(spec: SyntheticSpec) -> SyntheticResult:
     be compared directly against a downstream fit.  With noise or rounding
     the correspondence is approximate; in ``exact`` mode it is exact.
     """
-    from ._rng import SeededRandom
-
+    # one stream: the planted factors, then the noise, then the wins
     rng = SeededRandom(spec.seed)
-    users, features, time, labels = planted_factors(
+    users, features, time, labels = _planted_factors(
+        rng,
         spec.n_players,
         len(spec.feature_scales),
         spec.n_matches,
         spec.rank,
-        seed=spec.seed,
-        signatures=spec.signatures,
-        group_sizes=spec.group_sizes,
-        anchor_zero_row=spec.exact,
+        spec.signatures,
+        spec.group_sizes,
+        spec.exact,
     )
     tensor = kruskal_tensor(np.ones(spec.rank), users, features, time)
     scales = np.asarray(spec.feature_scales)

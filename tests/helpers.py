@@ -299,7 +299,7 @@ def _records_from_json_lines(path):
                 continue
             try:
                 row = json.loads(line)
-            except ValueError as exc:  # invalid, or an int past the digit limit
+            except (ValueError, RecursionError) as exc:  # invalid, an int too long, too deep
                 raise MalformedRecord(f"invalid JSON: {exc}", line_no) from None
             if not isinstance(row, dict):
                 raise MalformedRecord("record is not an object", line_no)

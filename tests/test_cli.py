@@ -487,7 +487,7 @@ class TestRankScan:
             "first error: MaxIterationsExceeded: seed 0 stalled\n"
         )
         assert calls == [0, 0, 0]
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     def test_selects_planted_rank_and_feeds_analyze(self, tmp_path):
         out = synth_and_ingest(tmp_path)
@@ -676,15 +676,30 @@ class TestAnalyze:
         )
         assert not (out / "factor_model.json").exists()
 
-    @pytest.mark.parametrize("case", ["--k 0", "--membership-fraction 2", "unpopulated k"])
+    @pytest.mark.parametrize(
+        "case",
+        ["--k 0", "--membership-fraction 2", "unpopulated k", "missing input", "out-dir a file"],
+    )
     def test_failed_stage_leaves_out_dir_as_it_was(self, tmp_path, monkeypatch, capsys, case):
         # a flag fails before the fit; k-means fails after it, with the model
-        # already computed
+        # already computed; a missing input creates no fresh --out-dir; an
+        # --out-dir that is a file fails once the stage's artifacts are ready
         out = synth_and_ingest(tmp_path)
         assert self.analyze(out) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         capsys.readouterr()
-        if case == "unpopulated k":
+        expected = 2 if case in ("missing input", "out-dir a file") else 1
+        if case == "missing input":
+            fresh = tmp_path / "a"
+            code = run("rank-scan", "--input", tmp_path / "missing.json", "--out-dir", fresh / "b")
+            assert not fresh.exists()
+        elif case == "out-dir a file":
+            blocker = tmp_path / "blocker"
+            blocker.write_text("x")
+            args = ["--ranks", 1, "--restarts", 1, "--out-dir", blocker]
+            code = run("rank-scan", "--input", out / "tensor.json", *args)
+            assert blocker.read_text() == "x"
+        elif case == "unpopulated k":
             calls = fail_seeds(monkeypatch, set())
 
             def kmeans(points, k, seed=0):
@@ -697,7 +712,7 @@ class TestAnalyze:
             assert calls == [0, 1]  # both restarts were fitted
         else:
             code = self.analyze(out, *case.split())
-        assert code == 1
+        assert code == expected
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
@@ -746,7 +761,7 @@ class TestAnalyze:
         assert self.analyze(out, "--input", container) == 1  # the last --input counts
         message = "k must be at most the 2 distinct player rows, got 3"
         assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
         t, _ = load_tensor3(container)
         with pytest.raises(ValueError, match=f"^{message}$"):
             matchfactor.analyze(t, 3)
@@ -841,7 +856,8 @@ class TestAnalyze:
         )
 
     def test_pathological_k_warns_but_succeeds(self, tmp_path, capsys):
-        # three exactly repeated behavior rows: extra k values cannot populate
+        # three exactly repeated behavior rows: extra k values cannot populate;
+        # at k=1 every player is in the one cluster, which has no silhouette
         out = synth_and_ingest(
             tmp_path,
             spec={
@@ -853,11 +869,16 @@ class TestAnalyze:
                 "exact": True,
             },
         )
-        assert self.analyze(out, "--k", 3) == 0
-        clusters = json.loads((out / "clusters.json").read_text())
-        assert clusters["k"] == 3
-        ks = {entry["k"] for entry in clusters["silhouette_sweep"]}
-        assert ks  # at least some neighbor k values succeeded
+        for k in (3, 1):
+            assert self.analyze(out, "--k", k) == 0
+            clusters = json.loads((out / "clusters.json").read_text())
+            assert clusters["k"] == k
+            ks = {entry["k"] for entry in clusters["silhouette_sweep"]}
+            assert ks  # at least some neighbor k values succeeded
+        assert clusters["cluster_sizes"] == [9]
+        assert set(clusters["labels"].values()) == {0}
+        assert clusters["silhouette"] is None and clusters["sample_silhouettes"] is None
+        assert 2 in ks and ks <= {2, 3, 4, 5}
 
     def test_sweep_k_that_cannot_populate_warns(self, tmp_path, capsys):
         # two distinct player rows give two distinct user factor rows, so the
@@ -996,7 +1017,7 @@ class TestMalformedInputs:
         out = tmp_path / "o"
         assert run("rank-scan", "--input", tensor, f"--ranks={ranks}", "--out-dir", out) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", [b"{bad", b"\xff"], ids=repr)
     @pytest.mark.parametrize("stage", ["synth", "analyze"])
@@ -1033,7 +1054,7 @@ class TestMalformedInputs:
         out = tmp_path / "o"
         assert run("synth", "--spec", path, *flags, "--out-dir", out) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["rank-scan", "--ranks", "1:2"], ["analyze", "--rank", 2]])
     @pytest.mark.parametrize(
@@ -1055,7 +1076,7 @@ class TestMalformedInputs:
         assert run(*command, *args) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert calls == []
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["ingest"], ["rank-scan"], ["analyze", "--rank", 2]])
     def test_directory_input(self, tmp_path, capsys, command):
@@ -1089,6 +1110,19 @@ class TestMalformedInputs:
                 "group sizes (-1, 25, 12) must be >= 0",
             ),
             ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"group_sizes": [480, 481]}, "need one group size per component"),
+            ({"signatures": [[0, 4], [2, 3], [1, 2, 3]]}, "invalid feature signature (0, 4)"),
+            ({"win_bias": [0.0, 0.0]}, "need one win bias per group"),
+            # a record has four count columns: five scales would write a fifth
+            # count into the winner column, three would leave arena_id empty
+            (
+                {"feature_scales": [25.0, 15.0, 25.0, 20000.0, 1.0]},
+                "need one feature scale per feature (assists, deaths, kills, gold), got 5",
+            ),
+            (
+                {"feature_scales": [25.0, 15.0, 25.0]},
+                "need one feature scale per feature (assists, deaths, kills, gold), got 3",
+            ),
         ],
         ids=repr,
     )
@@ -1098,4 +1132,4 @@ class TestMalformedInputs:
         out = tmp_path / "o"
         assert run("synth", "--spec", path, "--out-dir", out) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
-        assert not any(out.iterdir())
+        assert not out.exists()

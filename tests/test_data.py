@@ -675,22 +675,45 @@ class TestRiotMemory:
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
+# json-lines lines that json.loads rejects for reasons other than the digit limit
+INVALID_JSON_LINES = [
+    '{"player_id": "alice"}   x',
+    '{"player_id": "alice"}\t\tx',
+    '{"player_id": "alice"},',
+    '{"a": 1} {"b": 2}',
+    '{"a": NaN} 1',
+    "[1, 2",
+    "nul",
+    '{"a" 1}',
+    '"abc',
+    '{"player_id": "\\ud800',
+    "\ufeff{}",
+    "[" * 100_000,
+]
+
+
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts integers of any length")
 class TestIntegerDigitLimit:
     """A JSON integer past Python's digit limit is invalid JSON, as
-    ``json.loads`` rejects it; in json-lines, with its line."""
+    ``json.loads`` rejects it; in json-lines, with its line and the message
+    ``json.loads`` gives, as for every line it rejects."""
 
     LONG = "9" * (DIGIT_LIMIT + 1)
 
     def test_json_lines(self, tmp_path):
         lines = csv_to_jsonl(CSV_FIXTURE).splitlines(keepends=True)
-        lines[2] = lines[2].replace('"assists": 2,', f'"assists": {self.LONG},')
-        path = write(tmp_path, "d.jsonl", "".join(lines))
-        message = "^line 3: invalid JSON: Exceeds the limit"
-        with pytest.raises(MalformedRecord, match=message) as got:
-            ingest(path, "json-lines", n_matches=3)
-        assert got.value.line == 3
-        assert_same_as_reference(path, "json-lines")
+        long_int = lines[2].replace('"assists": 2,', f'"assists": {self.LONG},').strip()
+        for bad in [long_int, *INVALID_JSON_LINES]:
+            with pytest.raises((ValueError, RecursionError)) as loads_error:
+                json.loads(bad)
+            lines[2] = bad + "\n"
+            path = write(tmp_path, "d.jsonl", "".join(lines))
+            with pytest.raises(MalformedRecord) as got:
+                ingest(path, "json-lines", n_matches=3)
+            assert str(got.value) == f"line 3: invalid JSON: {loads_error.value}"
+            assert got.value.line == 3
+            assert_same_as_reference(path, "json-lines")
+        assert str(loads_error.value).startswith("maximum recursion depth")
 
     def test_riot_export(self, tmp_path):
         text = csv_to_riot_json(CSV_FIXTURE)

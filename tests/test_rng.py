@@ -15,9 +15,9 @@ class TestFingerprint:
         # normals go through log, sqrt, cos and sin, which may differ in the
         # last bit between platforms
         assert rng.standard_normal(3).tolist() == pytest.approx(
-            [-0.7721930836871823, -2.5843892593976334, -0.05479473384918016], rel=1e-12
+            [2.259592875626119, 0.554814335519881, -1.2750676616312548], rel=1e-12
         )
-        assert [rng.integers(1000) for _ in range(3)] == [414, 940, 802]
+        assert [rng.integers(1000) for _ in range(3)] == [310, 991, 488]
 
     def test_same_seed_same_draws(self):
         a, b = SeededRandom(5), SeededRandom(5)

@@ -13,9 +13,12 @@ from matchfactor import (
     apply_relative_noise,
     decompose,
     generate_synthetic,
+    kruskal_tensor,
     normalize_minmax,
     welch_t_test,
 )
+from matchfactor._rng import SeededRandom
+from matchfactor.synthetic import _planted_factors
 
 from helpers import relative_noise_by_expression
 
@@ -106,6 +109,26 @@ class TestGenerate:
         b = generate_synthetic(small_spec(seed=2, exact=False, noise=0.02))
         assert a.dataset.player_ids == b.dataset.player_ids
         assert not np.array_equal(a.dataset.counts, b.dataset.counts)
+
+    def test_noise_follows_the_planted_draws_on_one_stream(self):
+        # exact mode: counts are the clean tensor times the noise, unrounded
+        spec = small_spec(noise=0.05, seed=3)
+        counts = generate_synthetic(spec).dataset.counts
+        rng = SeededRandom(spec.seed)
+        users, features, time, _ = _planted_factors(
+            rng, 30, 4, 20, 3, spec.signatures, spec.group_sizes, True
+        )
+        clean = kruskal_tensor(np.ones(3), users, features, time)
+        scales = np.asarray(spec.feature_scales)[None, :, None]
+        positive = clean > 0
+        jitter = counts[positive] / (clean * scales)[positive]
+        # not the first normals of a fresh generator: those drew the factors
+        replayed = 1.0 + spec.noise * SeededRandom(spec.seed).standard_normal(clean.shape)
+        assert not np.allclose(jitter, np.clip(replayed, 0.0, None)[positive], rtol=1e-9)
+        # the normals drawn right after the planted factors, from one stream
+        expect = apply_relative_noise(clean, spec.noise, rng)
+        expect *= scales
+        np.testing.assert_array_equal(counts, expect)
 
     def test_deterministic_given_seed(self):
         a = generate_synthetic(small_spec(seed=5))
