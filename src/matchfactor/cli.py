@@ -480,9 +480,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = Path(args.out_dir)
     try:
+        if out.exists() and not out.is_dir():
+            out.mkdir()  # raises FileExistsError now, not after the stage has run
         artifacts, warnings, message = args.func(args)
-        _write_artifacts(Path(args.out_dir), _config_echo(args), artifacts)
+        _write_artifacts(out, _config_echo(args), artifacts)
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return 2

@@ -5,17 +5,21 @@ subproblem for the third: the Gram matrix is the elementwise product of the
 fixed factors' Grams and the right-hand side is the MTTKRP, the mode
 unfolding times the Khatri-Rao product of the fixed factors.  The MTTKRP
 contracts the tensor with one fixed factor at a time and never forms the
-Khatri-Rao product; modes 2 and 3 share the contraction with the freshly
-solved user factor.  From the second sweep on, each solve is warm-started
-from the support of the factor it replaces.
+Khatri-Rao product.  Three private kernels hold the sweep's arithmetic:
+``_mttkrp_1`` (mode 1), ``_contract_players`` (a matrix times the player
+axis, which modes 2 and 3 share with the freshly solved user factor) and
+``_gram_fit`` (the fit, below).  ``_contract_players`` is the only product
+with the player-axis unfolding: ``core_consistency`` calls it too, with the
+pseudoinverse of the user factor.  From the second sweep on, each solve is
+warm-started from the support of the factor it replaces.
 Column norms are folded into the weight vector after every solve, so stored
 factors always have unit-norm columns.  Because each block solve is an exact
 constrained minimization, the reconstruction error is non-increasing across
 sweeps.
 
-The sweep's fit comes from the mode-3 normal equations (the Gram identity
-of Kolda & Bader): with ``x`` the mode-3 solution, ``rhs`` its right-hand
-side and ``gram`` its Gram matrix,
+The sweep's fit (``_gram_fit``) comes from the mode-3 normal equations
+(the Gram identity of Kolda & Bader): with ``x`` the mode-3 solution,
+``rhs`` its right-hand side and ``gram`` its Gram matrix,
 ``||X - X_hat||^2 = ||X||^2 - 2 sum(rhs * x) + sum(gram * (x @ x.T))``,
 which costs ``O(R^2 K)`` instead of a dense reconstruction.  The identity
 subtracts numbers of size ``||X||^2`` to get one of size
@@ -162,54 +166,55 @@ def _normalize_columns(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m / safe, norms
 
 
+def _contract_players(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``m`` (R x I) times the player axis of ``t`` (I x J x K): R x J x K."""
+    return (m @ t.reshape(t.shape[0], -1)).reshape(-1, *t.shape[1:])
+
+
+def _mttkrp_1(t: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``(X_(1) (C kr B)).T``, R x I: k contracted with C, then j with B."""
+    i_dim, j_dim, k_dim = t.shape
+    xc = (c.T @ t.reshape(i_dim * j_dim, k_dim).T).reshape(-1, i_dim, j_dim)
+    return np.einsum("rij,rj->ri", xc, b.T)
+
+
+def _gram_fit(t, norm_t, weights, factors, gram, rhs, x) -> float:
+    """Relative fit of the model whose mode-3 solve ``x`` had ``gram`` and ``rhs``:
+    the Gram identity, or the dense residual below ``_DENSE_FIT_BELOW``."""
+    fit_sq = norm_t**2 - 2.0 * float(np.sum(rhs * x)) + float(np.sum(gram * (x @ x.T)))
+    if fit_sq < (_DENSE_FIT_BELOW * norm_t) ** 2:
+        return frobenius_norm(t - kruskal_tensor(weights, *factors)) / norm_t
+    return math.sqrt(fit_sq) / norm_t
+
+
+def _solve(gram: np.ndarray, rhs: np.ndarray, factor: np.ndarray, warm: bool) -> tuple:
+    """One mode's NNLS solution ``x``, warm-started from the support of ``factor``,
+    then the normalized columns of ``x.T`` (the new factor) and their norms."""
+    x = solve_nnls_bpp(NnlsProblem(gram, rhs), passive=factor.T > 0 if warm else None).x
+    return (x, *_normalize_columns(x.T))
+
+
 def _anls_single(t: np.ndarray, rank: int, seed: int, cfg: DecomposeConfig) -> FactorModel:
     """One ANLS fit of a validated tensor from a seeded random start."""
     rng = SeededRandom(seed)
     norm_t = frobenius_norm(t)
-    dense_below_sq = (_DENSE_FIT_BELOW * norm_t) ** 2
-    dims = i_dim, j_dim, k_dim = t.shape
-    x_ij_k = t.reshape(i_dim * j_dim, k_dim)
-    x_i_jk = t.reshape(i_dim, j_dim * k_dim)
-
     # strictly positive init on (0, 1] avoids degenerate zero columns
-    factors = [
-        _normalize_columns(1.0 - rng.random((d, rank)))[0] for d in dims
-    ]
-    weights = np.ones(rank)
-
-    def solve(mode: int, gram: np.ndarray, rhs: np.ndarray, warm: bool) -> np.ndarray:
-        """Solve one mode, warm-started from the support of its current factor."""
-        nonlocal weights
-        sol = solve_nnls_bpp(NnlsProblem(gram, rhs), passive=factors[mode].T > 0 if warm else None)
-        factors[mode], weights = _normalize_columns(sol.x.T)
-        return sol.x
+    a, b, c = (_normalize_columns(1.0 - rng.random((d, rank)))[0] for d in t.shape)
 
     history: list[float] = []
     prev_fit = np.inf
     converged = False
-    sweeps = 0
     for sweeps in range(1, cfg.max_outer_iters + 1):
         warm = sweeps > 1
-        a, b, c = factors
-        # mode 1: X_(1) (C kr B), contracting k with C and then j with B
-        xc = (c.T @ x_ij_k.T).reshape(rank, i_dim, j_dim)
-        rhs = np.einsum("rij,rj->ri", xc, b.T)
-        solve(0, (c.T @ c) * (b.T @ b), rhs, warm)
-        a = factors[0]
+        _, a, _ = _solve((c.T @ c) * (b.T @ b), _mttkrp_1(t, b, c), a, warm)
         # modes 2 and 3 both contract i with the new A first
-        xa = (a.T @ x_i_jk).reshape(rank, j_dim, k_dim)
-        rhs = (xa @ c.T[:, :, None])[:, :, 0]
-        solve(1, (c.T @ c) * (a.T @ a), rhs, warm)
-        b = factors[1]
+        xa = _contract_players(a.T, t)
+        _, b, _ = _solve((c.T @ c) * (a.T @ a), (xa @ c.T[:, :, None])[:, :, 0], b, warm)
         rhs = (b.T[:, None, :] @ xa)[:, 0, :]
         gram = (b.T @ b) * (a.T @ a)
-        x = solve(2, gram, rhs, warm)
+        x, c, weights = _solve(gram, rhs, c, warm)
 
-        fit_sq = norm_t**2 - 2.0 * float(np.sum(rhs * x)) + float(np.sum(gram * (x @ x.T)))
-        if fit_sq < dense_below_sq:
-            fit = frobenius_norm(t - kruskal_tensor(weights, *factors)) / norm_t
-        else:
-            fit = math.sqrt(fit_sq) / norm_t
+        fit = _gram_fit(t, norm_t, weights, (a, b, c), gram, rhs, x)
         history.append(fit)
         delta = abs(prev_fit - fit)
         if delta < _ABS_TOL or delta < cfg.rel_tol * max(prev_fit, 1e-300):
@@ -220,7 +225,7 @@ def _anls_single(t: np.ndarray, rank: int, seed: int, cfg: DecomposeConfig) -> F
     # deterministic component order: heaviest first
     order = np.argsort(-weights, kind="stable")
     weights = weights[order]
-    factors = [np.ascontiguousarray(f[:, order]) for f in factors]
+    factors = [np.ascontiguousarray(f[:, order]) for f in (a, b, c)]
     # dead components keep a unit placeholder so columns stay unit-norm
     for r in np.flatnonzero(weights == 0):
         for f in factors:
@@ -302,8 +307,7 @@ def core_consistency(t: np.ndarray, model: FactorModel) -> float:
     a = a * model.weights
     # pseudoinverses via SVD truncated at 1e-12 * sigma_max
     ap, bp, cp = (np.linalg.pinv(m, rcond=1e-12) for m in (a, b, c))
-    core = np.tensordot(ap, t, axes=(1, 0))
-    core = np.einsum("mj,rjk->rmk", bp, core)
+    core = np.einsum("mj,rjk->rmk", bp, _contract_players(ap, t))
     core = np.einsum("nk,rmk->rmn", cp, core)
     r = model.rank
     ideal = np.zeros((r, r, r))

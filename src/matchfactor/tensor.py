@@ -46,6 +46,7 @@ from .errors import MalformedRecord
 
 _TENSOR_FORMAT = "dense-tensor3"
 _TENSOR_VERSION = 1
+_TENSOR_LAYOUT = "first-index-slowest"
 # the values formatted and held as text at once by the writers
 _SLICE = 1 << 15
 
@@ -181,7 +182,7 @@ def save_tensor3(path, t: np.ndarray, metadata: dict | None = None) -> None:
         {
             "format": _TENSOR_FORMAT,
             "dims": list(t.shape),
-            "layout": "first-index-slowest",
+            "layout": _TENSOR_LAYOUT,
             "metadata": metadata or {},
         },
         sort_keys=True,
@@ -384,7 +385,9 @@ def _write_json(path, doc: dict) -> None:
 def load_tensor3(path) -> tuple[np.ndarray, dict]:
     """Read a tensor written by :func:`save_tensor3`; returns (tensor, metadata).
 
-    A file that is not such a container raises ``ValueError`` naming it.
+    A file that is not such a container raises ``ValueError`` naming it, as
+    does a ``layout`` other than the first index slowest; a container
+    without ``layout`` is read in that layout.
     The file is walked a block at a time, ``values`` decoded into one
     float64 array; a file the walk does not take is read again whole, on
     that path only, so that every error is the one of the whole document.
@@ -400,6 +403,9 @@ def load_tensor3(path) -> tuple[np.ndarray, dict]:
     version = doc.get("version")
     if type(version) is not int or version != _TENSOR_VERSION:  # a JSON true or 1.0 is not 1
         raise ValueError(f"{where}: unsupported container version {version}")
+    layout = doc.get("layout", _TENSOR_LAYOUT)
+    if layout != _TENSOR_LAYOUT:
+        raise ValueError(f"{where}: unsupported layout {layout!r}")
     dims = doc.get("dims")
     if not (
         isinstance(dims, list)

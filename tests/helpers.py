@@ -463,6 +463,9 @@ def load_tensor3_by_json_load(path):
     version = doc.get("version")
     if type(version) is not int or version != 1:  # a JSON true or 1.0 is not 1
         raise ValueError(f"{where}: unsupported container version {version}")
+    layout = doc.get("layout", "first-index-slowest")
+    if layout != "first-index-slowest":
+        raise ValueError(f"{where}: unsupported layout {layout!r}")
     dims = doc.get("dims")
     if not (
         isinstance(dims, list) and len(dims) == 3 and all(type(d) is int and d > 0 for d in dims)

@@ -683,7 +683,7 @@ class TestAnalyze:
     def test_failed_stage_leaves_out_dir_as_it_was(self, tmp_path, monkeypatch, capsys, case):
         # a flag fails before the fit; k-means fails after it, with the model
         # already computed; a missing input creates no fresh --out-dir; an
-        # --out-dir that is a file fails once the stage's artifacts are ready
+        # --out-dir that is a file fails before the fit
         out = synth_and_ingest(tmp_path)
         assert self.analyze(out) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
@@ -696,9 +696,11 @@ class TestAnalyze:
         elif case == "out-dir a file":
             blocker = tmp_path / "blocker"
             blocker.write_text("x")
+            calls = fail_seeds(monkeypatch, set())
             args = ["--ranks", 1, "--restarts", 1, "--out-dir", blocker]
             code = run("rank-scan", "--input", out / "tensor.json", *args)
             assert blocker.read_text() == "x"
+            assert calls == []  # no restart was fitted
         elif case == "unpopulated k":
             calls = fail_seeds(monkeypatch, set())
 
@@ -1110,6 +1112,7 @@ class TestMalformedInputs:
                 "group sizes (-1, 25, 12) must be >= 0",
             ),
             ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"n_players": 0}, "n_players, n_matches and rank must be positive"),
             ({"group_sizes": [480, 481]}, "need one group size per component"),
             ({"signatures": [[0, 4], [2, 3], [1, 2, 3]]}, "invalid feature signature (0, 4)"),
             ({"win_bias": [0.0, 0.0]}, "need one win bias per group"),

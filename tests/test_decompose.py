@@ -180,6 +180,8 @@ class TestDecompose:
     def test_config_rejects_negative_seed(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             DecomposeConfig(seed=-1)
+        with pytest.raises(ValueError, match=r"^n_restarts must be >= 1$"):
+            DecomposeConfig(n_restarts=0)
 
 
 def textbook_sweep(t, rank, seed):
@@ -221,6 +223,47 @@ class TestSweepOracle:
         np.testing.assert_allclose(got, expect, rtol=0, atol=1e-10)
         fit = np.linalg.norm(t - expect) / np.linalg.norm(t)
         assert abs(model.fit - fit) <= 1e-10, (model.fit, fit)
+
+
+class TestSweepKernels:
+    """The sweep's kernels equal their textbook forms: ``unfold(t, n)`` times
+    the Khatri-Rao product of the other two factors, and the dense fit."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_kernels_match_the_textbook(self, monkeypatch, seed):
+        gen = np.random.default_rng(seed)
+        t = gen.random(tuple(gen.integers(2, 30, size=3)))
+        rank = int(gen.integers(1, 5))
+        a, b, c = (gen.random((d, rank)) for d in t.shape)
+        want = (unfold(t, 1) @ khatri_rao(c, b)).T
+        np.testing.assert_allclose(DECOMPOSE._mttkrp_1(t, b, c), want, rtol=1e-12)
+        want = np.tensordot(a.T, t, axes=(1, 0))
+        np.testing.assert_allclose(DECOMPOSE._contract_players(a.T, t), want, rtol=1e-12)
+
+        # one sweep's problems, against the factors it held at each mode
+        problems = []
+        solve = DECOMPOSE.solve_nnls_bpp
+
+        def capture(problem, **kwargs):
+            sol = solve(problem, **kwargs)
+            problems.append((problem, sol.x))
+            return sol
+
+        monkeypatch.setattr(DECOMPOSE, "solve_nnls_bpp", capture)
+        model = DECOMPOSE._anls_single(t, rank, seed, DecomposeConfig(max_outer_iters=1))
+        rng = SeededRandom(seed)
+        factors = [1.0 - rng.random((d, rank)) for d in t.shape]
+        factors = [f / np.linalg.norm(f, axis=0) for f in factors]
+        for mode, (problem, x) in enumerate(problems):
+            p, q = (m for m in range(3) if m != mode)
+            want = unfold(t, mode + 1) @ khatri_rao(factors[q], factors[p])
+            np.testing.assert_allclose(problem.rhs, want.T, rtol=1e-12)
+            factors[mode], weights = DECOMPOSE._normalize_columns(x.T)
+        norm_t = np.linalg.norm(t)
+        fit = DECOMPOSE._gram_fit(t, norm_t, weights, factors, problem.gram, problem.rhs, x)
+        want = np.linalg.norm(t - kruskal_tensor(weights, *factors)) / norm_t
+        assert fit == pytest.approx(want, rel=1e-12)
+        assert model.fit == pytest.approx(want, rel=1e-12)
 
 
 class TestFailedRestarts:
@@ -388,6 +431,9 @@ class TestAlignment:
         _, m2 = planted_tensor(rank=2, seed=1)
         with pytest.raises(ValueError, match="rank"):
             align_components(m3, m2)
+        _, other = planted_tensor(dims=(20, 4, 20), rank=3, seed=1)
+        with pytest.raises(ValueError, match=r"^dims mismatch: \(30, 4, 20\) != \(20, 4, 20\)$"):
+            align_components(m3, other)
 
 
 class TestSelectBestModel:
@@ -449,6 +495,8 @@ class TestRankScan:
         t, _ = planted_tensor(dims=(10, 4, 8), rank=2, seed=4)
         with pytest.raises(ValueError, match="non-empty"):
             rank_scan(t, [], DecomposeConfig(n_restarts=1))
+        with pytest.raises(ValueError, match="^no models to select from$"):
+            select_best_model(t, [])
 
 
 class TestSerialization:

@@ -1,7 +1,9 @@
+import importlib
+
 import numpy as np
 import pytest
 
-from matchfactor import NnlsProblem, kkt_residual, solve_nnls_bpp
+from matchfactor import MaxIterationsExceeded, NnlsProblem, kkt_residual, solve_nnls_bpp
 
 from helpers import nnls_by_enumeration
 
@@ -20,6 +22,8 @@ class TestProblemValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="inconsistent"):
             NnlsProblem(np.eye(2), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=r"^gram must be square, got shape \(2, 3\)$"):
+            NnlsProblem(np.ones((2, 3)), np.zeros((2, 1)))
 
     def test_vector_rhs_promoted(self):
         prob = NnlsProblem(np.eye(2), np.array([1.0, 2.0]))
@@ -121,7 +125,7 @@ class TestInvariants:
 
             assert abs(objective(x) - objective(best)) <= 1e-10 * max(1.0, abs(objective(best)))
 
-    def test_backup_rule_engages_and_terminates(self):
+    def test_backup_rule_engages_and_terminates(self, monkeypatch):
         # near-singular grams push exchanges around; everything must settle
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -130,6 +134,11 @@ class TestInvariants:
             prob = NnlsProblem(base.T @ base, base.T @ rng.standard_normal((5, 3)))
             sol = solve_nnls_bpp(prob)
             assert (sol.x >= 0).all()
+        # a solve that needs more pivot rounds than allowed raises
+        assert sol.iterations > 0
+        monkeypatch.setattr(importlib.import_module("matchfactor.nnls"), "_MAX_ROUNDS", 0)
+        with pytest.raises(MaxIterationsExceeded, match="did not settle in 0 rounds"):
+            solve_nnls_bpp(prob)
 
 
 class TestKktResidual:
@@ -158,6 +167,8 @@ class TestKktResidual:
         prob = NnlsProblem(np.eye(2), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="shape"):
             kkt_residual(prob, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=r"^x shape \(3, 1\) does not match"):
+            kkt_residual(prob, np.zeros(3))  # a vector is one column
 
 
 class TestWarmStart:

@@ -394,6 +394,9 @@ class TestKde:
     def test_zero_variance_without_bandwidth(self):
         with pytest.raises(ConstantColumn):
             silverman_bandwidth(np.full(10, 3.0))
+        for h in (0.0, -1.0):
+            with pytest.raises(ValueError, match="^bandwidth must be positive$"):
+                kde_gaussian(np.ones(3), np.ones(2), bandwidth=h)
 
 
 class TestWelch:
@@ -506,6 +509,8 @@ class TestWinRateStats:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             win_rate_stats(np.zeros((4, 3)), np.zeros(4, dtype=int), mode="weird")
+        with pytest.raises(ValueError, match="^winner matrix must be players x matches$"):
+            win_rate_stats(np.zeros(4), np.zeros(4, dtype=int))
 
 
 # ---------------------------------------------------------------------------

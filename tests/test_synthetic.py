@@ -15,6 +15,7 @@ from matchfactor import (
     generate_synthetic,
     kruskal_tensor,
     normalize_minmax,
+    planted_factors,
     welch_t_test,
 )
 from matchfactor._rng import SeededRandom
@@ -43,6 +44,8 @@ class TestSpecValidation:
     def test_group_sizes_must_sum(self):
         with pytest.raises(ValueError, match="sum"):
             small_spec(group_sizes=(10, 10, 11))
+        with pytest.raises(ValueError, match="^group sizes must sum to n_users, one per"):
+            planted_factors(30, 4, 20, 3, group_sizes=(10, 10, 11))
 
     def test_one_signature_per_component(self):
         with pytest.raises(ValueError, match="signature"):

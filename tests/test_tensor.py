@@ -17,6 +17,7 @@ from matchfactor import (
     save_tensor3,
     unfold,
 )
+from matchfactor.tensor import as_matrix
 
 from helpers import (
     khatri_rao_by_loops,
@@ -32,12 +33,21 @@ class TestValidation:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError, match="3-way"):
             as_tensor3(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"^expected a matrix, got ndim=3$"):
+            as_matrix(np.zeros((2, 2, 2)))
+        # and a zero-length axis
+        with pytest.raises(ValueError, match=r"^all dimensions must be positive, got shape"):
+            as_tensor3(np.zeros((2, 0, 2)))
+        with pytest.raises(ValueError, match=r"^matrix dimensions must be positive, got shape"):
+            as_matrix(np.zeros((0, 2)))
 
     def test_rejects_nan(self):
         t = np.zeros((2, 2, 2))
         t[0, 0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             as_tensor3(t)
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            as_matrix(t[0])
 
     def test_rejects_negative_when_required(self):
         t = np.zeros((2, 2, 2))
@@ -260,6 +270,8 @@ MALFORMED_CONTAINERS = {
     "deep-json": ("[" * 100_000 + "]" * 100_000, "JSON"),
     "bool-version": (container(version=True), "version True"),
     "float-version": (container(version=1.0), "version 1.0"),
+    "foreign-layout": (container(layout="first-index-fastest"), "layout 'first-index-fastest'"),
+    "list-layout": (container(layout=["first-index-slowest"]), "layout"),
     "missing-dims": (container(dims=None), "dims"),
     "two-dims": (container(dims=[1, 2]), "dims"),
     "zero-dim": (container(dims=[1, 0, 2]), "dims"),
@@ -284,10 +296,11 @@ MALFORMED_CONTAINERS = {
 class TestMalformedContainer:
     def test_valid_fixture_loads(self, tmp_path):
         path = tmp_path / "t.json"
-        path.write_text(VALID_CONTAINER)
-        t, meta = load_tensor3(path)
-        np.testing.assert_array_equal(t, [[[0.5, 1.0]]])
-        assert meta == {}
+        for text in (VALID_CONTAINER, container(layout=None)):  # no layout: first index slowest
+            path.write_text(text)
+            t, meta = load_tensor3(path)
+            np.testing.assert_array_equal(t, [[[0.5, 1.0]]])
+            assert meta == {}
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CONTAINERS))
     def test_raises_value_error_naming_path(self, tmp_path, case):
@@ -348,7 +361,7 @@ def container_texts(draw):
         ("format", draw(hst.sampled_from(['"dense-tensor3"'] * 4 + ['"dense-tensor2"']))),
         ("version", draw(hst.sampled_from(["1"] * 4 + ["2", "1.0", "true"]))),
         ("dims", json_list(map(str, dims))),
-        ("layout", '"first-index-slowest"'),
+        ("layout", draw(hst.sampled_from(['"first-index-slowest"'] * 4 + ['"row-major"']))),
         ("values", values_text),
     ]
     if draw(hst.booleans()):
