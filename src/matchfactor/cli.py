@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import typing
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,13 @@ def _cells(*arrays: np.ndarray):
     index, then each array's value there."""
     for idx in np.ndindex(arrays[0].shape):
         yield [*idx, *(_fmt(a[idx]) for a in arrays)]
+
+
+def _tensor_key(t: np.ndarray) -> dict:
+    """What ties a rank selection to the tensor it was scanned on: the dims
+    and the CRC-32 of the float64 values in C order (not of the file, whose
+    metadata echoes the config that wrote it)."""
+    return {"dims": list(t.shape), "crc32": zlib.crc32(np.ascontiguousarray(t))}
 
 
 def _restart_failures(records) -> list[str]:
@@ -182,6 +190,7 @@ def cmd_rank_scan(args: argparse.Namespace) -> tuple[dict, list[str], str]:
             "rationale": result.rationale,
             "best_by_rank": best,
             "failed_restarts": len(failures),
+            "tensor": _tensor_key(t),
         },
     }
     return artifacts, failures, f"selected rank {result.selected_rank}: {result.rationale}"
@@ -221,9 +230,9 @@ def _container_metadata(path, metadata: dict, shape) -> tuple[list, list, np.nda
     return feature_names, player_ids, winner
 
 
-def _selected_rank(out_dir, tensor_path) -> int:
+def _selected_rank(out_dir, tensor_path, t: np.ndarray) -> int:
     """The integer ``selected_rank`` of the ``rank_selection.json`` in ``out_dir``,
-    refused if its config echo names an input other than ``tensor_path``."""
+    refused unless it records the tensor ``t``, read from ``tensor_path``."""
     path = Path(out_dir) / "rank_selection.json"
     if not path.exists():
         raise MatchFactorError("no --rank given and no rank_selection.json in the output directory")
@@ -231,11 +240,9 @@ def _selected_rank(out_dir, tensor_path) -> int:
     rank = doc.get("selected_rank") if isinstance(doc, dict) else None
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise ValueError(f"{path}: 'selected_rank' must be an integer")
-    config = doc.get("config")
-    scanned = config.get("input") if isinstance(config, dict) else None
-    if isinstance(scanned, str) and Path(scanned).resolve() != Path(tensor_path).resolve():
+    if doc.get("tensor") != _tensor_key(t):
         raise MatchFactorError(
-            f"{path}: rank {rank} was selected on {scanned}, not on --input {tensor_path}; "
+            f"{path}: rank {rank} was not selected on the tensor of --input {tensor_path}; "
             "pass --rank to analyze this input"
         )
     return rank
@@ -254,7 +261,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], str]:
     t, metadata = load_tensor3(args.input)
     feature_names, player_ids, winner = _container_metadata(args.input, metadata, t.shape)
     del metadata  # its winner lists, held through every fit otherwise
-    rank = args.rank if args.rank is not None else _selected_rank(args.out_dir, args.input)
+    rank = args.rank if args.rank is not None else _selected_rank(args.out_dir, args.input, t)
     report = analyze(
         t, rank, _decompose_config(args), k=args.k, fraction=args.membership_fraction,
         winner=winner, kde_mode=args.kde_mode,
@@ -482,8 +489,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = Path(args.out_dir)
     try:
-        if out.exists() and not out.is_dir():
-            out.mkdir()  # raises FileExistsError now, not after the stage has run
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            out.mkdir(parents=True)  # raises mkdir's error now, not after the stage has run
         artifacts, warnings, message = args.func(args)
         _write_artifacts(out, _config_echo(args), artifacts)
     except FileNotFoundError as exc:

@@ -10,8 +10,9 @@ Khatri-Rao product.  Three private kernels hold the sweep's arithmetic:
 axis, which modes 2 and 3 share with the freshly solved user factor) and
 ``_gram_fit`` (the fit, below).  ``_contract_players`` is the only product
 with the player-axis unfolding: ``core_consistency`` calls it too, with the
-pseudoinverse of the user factor.  From the second sweep on, each solve is
-warm-started from the support of the factor it replaces.
+pseudoinverse of the user factor.  Each solve starts from the support of
+the factor it replaces: every variable in the first sweep, whose start is
+strictly positive.
 Column norms are folded into the weight vector after every solve, so stored
 factors always have unit-norm columns.  Because each block solve is an exact
 constrained minimization, the reconstruction error is non-increasing across
@@ -187,10 +188,10 @@ def _gram_fit(t, norm_t, weights, factors, gram, rhs, x) -> float:
     return math.sqrt(fit_sq) / norm_t
 
 
-def _solve(gram: np.ndarray, rhs: np.ndarray, factor: np.ndarray, warm: bool) -> tuple:
-    """One mode's NNLS solution ``x``, warm-started from the support of ``factor``,
+def _solve(gram: np.ndarray, rhs: np.ndarray, factor: np.ndarray) -> tuple:
+    """One mode's NNLS solution ``x``, started from the support of ``factor``,
     then the normalized columns of ``x.T`` (the new factor) and their norms."""
-    x = solve_nnls_bpp(NnlsProblem(gram, rhs), passive=factor.T > 0 if warm else None).x
+    x = solve_nnls_bpp(NnlsProblem(gram, rhs), passive=factor.T > 0).x
     return (x, *_normalize_columns(x.T))
 
 
@@ -198,21 +199,21 @@ def _anls_single(t: np.ndarray, rank: int, seed: int, cfg: DecomposeConfig) -> F
     """One ANLS fit of a validated tensor from a seeded random start."""
     rng = SeededRandom(seed)
     norm_t = frobenius_norm(t)
-    # strictly positive init on (0, 1] avoids degenerate zero columns
+    # strictly positive init on (0, 1] avoids degenerate zero columns, and
+    # starts sweep 1's solves from the full support
     a, b, c = (_normalize_columns(1.0 - rng.random((d, rank)))[0] for d in t.shape)
 
     history: list[float] = []
     prev_fit = np.inf
     converged = False
     for sweeps in range(1, cfg.max_outer_iters + 1):
-        warm = sweeps > 1
-        _, a, _ = _solve((c.T @ c) * (b.T @ b), _mttkrp_1(t, b, c), a, warm)
+        _, a, _ = _solve((c.T @ c) * (b.T @ b), _mttkrp_1(t, b, c), a)
         # modes 2 and 3 both contract i with the new A first
         xa = _contract_players(a.T, t)
-        _, b, _ = _solve((c.T @ c) * (a.T @ a), (xa @ c.T[:, :, None])[:, :, 0], b, warm)
+        _, b, _ = _solve((c.T @ c) * (a.T @ a), (xa @ c.T[:, :, None])[:, :, 0], b)
         rhs = (b.T[:, None, :] @ xa)[:, 0, :]
         gram = (b.T @ b) * (a.T @ a)
-        x, c, weights = _solve(gram, rhs, c, warm)
+        x, c, weights = _solve(gram, rhs, c)
 
         fit = _gram_fit(t, norm_t, weights, (a, b, c), gram, rhs, x)
         history.append(fit)
@@ -330,6 +331,10 @@ def select_best_model(
 
 
 def _select_knee(ranks: list[int], best_cc: list[float]) -> tuple[int, str]:
+    if max(best_cc) == -math.inf:
+        return ranks[0], (
+            f"no restart succeeded at any rank; defaulting to the smallest scanned rank {ranks[0]}"
+        )
     if len(ranks) == 1:
         return ranks[0], f"single-rank scan: no knee possible, selected rank {ranks[0]}"
 

@@ -14,19 +14,20 @@ the solution is zero off the passive set.  Columns are not grouped by
 passive-set pattern: at the small ``n`` of a CP fit one padded solve per
 column costs less than finding the distinct patterns.
 
-Pivoting starts from an empty passive set (a cold start) or from a given one
-(a warm start).  In alternating least squares the previous solution's
-support is usually close to the new one, so a warm start settles in fewer
-rounds.  When ``gram`` is positive definite the NNLS solution is unique and
-a warm start changes only the pivoting path, not the answer.  Variables
-whose Gram diagonal is zero never start passive.
+Pivoting starts from a passive set: the caller's, or by default every
+variable (the support of any strictly positive point).  In alternating
+least squares the caller passes the previous solution's support, which is
+usually close to the new one, so pivoting settles in few rounds.  When
+``gram`` is positive definite the NNLS solution is unique and the starting
+set changes only the pivoting path, not the answer.  Variables whose Gram
+diagonal is zero never start passive.
 
 Systems solved during pivoting carry a tiny ridge (1e-12 * trace(gram) / n)
 so momentarily collinear columns do not abort the caller.  Once the pivoting
 has settled, every passive set last solved with the ridge is re-solved
 without it, so the returned solution certifies the original problem; a
 column whose re-solve fails the KKT tolerance keeps its ridged solution.
-The warm start's own systems are solved like this polish, without the ridge
+The starting set's systems are solved like this polish, without the ridge
 unless one is singular, so a column that needs no pivoting is final after a
 single solve.
 """
@@ -150,7 +151,8 @@ def solve_nnls_bpp(problem: NnlsProblem, passive: np.ndarray | None = None) -> N
         semi-definite.
     passive : bool array of shape ``rhs.shape``, optional
         Initial passive set (True = free variable), e.g. the support of a
-        previous solution.  ``None`` starts from the empty set.
+        previous solution.  ``None`` starts from every variable whose Gram
+        diagonal is positive.
 
     Raises
     ------
@@ -167,27 +169,19 @@ def solve_nnls_bpp(problem: NnlsProblem, passive: np.ndarray | None = None) -> N
     gram_reg = gram + ridge * np.eye(n)
     zero_tol = 1e-12 * max(1.0, float(np.abs(rhs).max(initial=0.0)))
 
-    if passive is None:
-        passive = np.zeros((n, m), dtype=bool)
-        x = np.zeros((n, m))
-        y = -rhs
+    passive = np.ones((n, m), dtype=bool) if passive is None else np.asarray(passive, dtype=bool)
+    if passive.shape != (n, m):
+        raise ValueError(f"passive shape {passive.shape} does not match rhs shape {(n, m)}")
+    # A variable whose Gram column is zero stays at zero: freeing it would
+    # make the all-zero Gram matrix (whose ridge is zero) singular.
+    passive = passive & (np.diag(gram) > 0)[:, None]
+    # solved like the polish, so columns that need no pivoting are final
+    try:
+        x, y = _passive_step(gram, gram, rhs, passive, zero_tol)
         ridged = np.zeros(m, dtype=bool)
-    else:
-        passive = np.asarray(passive, dtype=bool)
-        if passive.shape != (n, m):
-            raise ValueError(
-                f"passive shape {passive.shape} does not match rhs shape {(n, m)}"
-            )
-        # A variable whose Gram column is zero stays at zero: freeing it would
-        # make the all-zero Gram matrix (whose ridge is zero) singular.
-        passive = passive & (np.diag(gram) > 0)[:, None]
-        # solved like the polish, so columns that need no pivoting are final
-        try:
-            x, y = _passive_step(gram, gram, rhs, passive, zero_tol)
-            ridged = np.zeros(m, dtype=bool)
-        except NumericallySingular:
-            x, y = _passive_step(gram, gram_reg, rhs, passive, zero_tol)
-            ridged = np.ones(m, dtype=bool)
+    except NumericallySingular:
+        x, y = _passive_step(gram, gram_reg, rhs, passive, zero_tol)
+        ridged = np.ones(m, dtype=bool)
     budget = np.full(m, _FULL_EXCHANGE_BUDGET)
     best_infeasible = np.full(m, n + 1)
 

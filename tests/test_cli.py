@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -611,10 +612,46 @@ class TestAnalyze:
         capsys.readouterr()
         assert run("analyze", "--input", "b.json", "--restarts", 1, "--out-dir", "o") == 1
         assert capsys.readouterr().err == (
-            f"error: o/rank_selection.json: rank {selected} was selected on a.json, "
-            "not on --input b.json; pass --rank to analyze this input\n"
+            f"error: o/rank_selection.json: rank {selected} was not selected on the tensor of "
+            "--input b.json; pass --rank to analyze this input\n"
         )
         assert {path.name: path.read_bytes() for path in Path("o").iterdir()} == before
+
+    def test_rank_scanned_from_a_subdirectory_is_taken_from_its_parent(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "a").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        selected = self.scan_planted(tmp_path / "a", "a.json", "../o")
+        monkeypatch.chdir(tmp_path)
+        assert run("analyze", "--input", "a/a.json", "--restarts", 1, "--out-dir", "o") == 0
+        assert json.loads(Path("o/factor_model.json").read_text())["rank"] == selected
+
+    @pytest.mark.parametrize(
+        "case", ["another tensor at the echoed path", "rewritten in place", "no tensor recorded"]
+    )
+    def test_selection_made_on_another_tensor_is_refused(self, tmp_path, monkeypatch, capsys, case):
+        # the scan of a/a.json, made in a/, echoes its input as a.json
+        (tmp_path / "a").mkdir()
+        monkeypatch.chdir(tmp_path / "a")
+        selected = self.scan_planted(tmp_path / "a", "a.json", "../o")
+        out = "../o"
+        if case == "another tensor at the echoed path":
+            monkeypatch.chdir(tmp_path)
+            shutil.copy("a/b.json", "a.json")
+            out = "o"
+        elif case == "rewritten in place":
+            shutil.copy("b.json", "a.json")
+        else:
+            Path(out, "rank_selection.json").write_text(json.dumps({"selected_rank": selected}))
+        before = {path.name: path.read_bytes() for path in Path(out).iterdir()}
+        capsys.readouterr()
+        assert run("analyze", "--input", "a.json", "--restarts", 1, "--out-dir", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}/rank_selection.json: rank {selected} was not selected on the tensor "
+            "of --input a.json; pass --rank to analyze this input\n"
+        )
+        assert {path.name: path.read_bytes() for path in Path(out).iterdir()} == before
 
     @pytest.mark.parametrize("spelling", ["./a.json", "absolute"])
     def test_rank_scanned_on_the_same_file_is_taken(self, tmp_path, monkeypatch, spelling):
@@ -678,28 +715,34 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "case",
-        ["--k 0", "--membership-fraction 2", "unpopulated k", "missing input", "out-dir a file"],
+        [
+            "--k 0", "--membership-fraction 2", "unpopulated k", "missing input",
+            "out-dir a file", "out-dir under a file",
+        ],
     )
     def test_failed_stage_leaves_out_dir_as_it_was(self, tmp_path, monkeypatch, capsys, case):
         # a flag fails before the fit; k-means fails after it, with the model
         # already computed; a missing input creates no fresh --out-dir; an
-        # --out-dir that is a file fails before the fit
+        # --out-dir that is a file, or under one, fails before the fit
         out = synth_and_ingest(tmp_path)
         assert self.analyze(out) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         capsys.readouterr()
-        expected = 2 if case in ("missing input", "out-dir a file") else 1
+        expected = 1 if case.startswith("--") or case == "unpopulated k" else 2
         if case == "missing input":
             fresh = tmp_path / "a"
             code = run("rank-scan", "--input", tmp_path / "missing.json", "--out-dir", fresh / "b")
             assert not fresh.exists()
-        elif case == "out-dir a file":
+        elif case.startswith("out-dir"):
             blocker = tmp_path / "blocker"
             blocker.write_text("x")
+            entries = sorted(tmp_path.iterdir())
             calls = fail_seeds(monkeypatch, set())
-            args = ["--ranks", 1, "--restarts", 1, "--out-dir", blocker]
+            target = blocker if case == "out-dir a file" else blocker / "sub"
+            args = ["--ranks", 1, "--restarts", 1, "--out-dir", target]
             code = run("rank-scan", "--input", out / "tensor.json", *args)
             assert blocker.read_text() == "x"
+            assert sorted(tmp_path.iterdir()) == entries  # no directory was made
             assert calls == []  # no restart was fitted
         elif case == "unpopulated k":
             calls = fail_seeds(monkeypatch, set())

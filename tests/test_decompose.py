@@ -266,6 +266,29 @@ class TestSweepKernels:
         assert model.fit == pytest.approx(want, rel=1e-12)
 
 
+def test_every_solve_starts_from_the_support_of_the_factor_it_replaces(monkeypatch):
+    t, _ = planted_tensor(dims=(10, 4, 8), rank=2, seed=4)
+    starts, solutions = [], []
+    solve = DECOMPOSE.solve_nnls_bpp
+
+    def capture(problem, **kwargs):
+        starts.append(kwargs.get("passive"))
+        sol = solve(problem, **kwargs)
+        solutions.append(sol.x)
+        return sol
+
+    monkeypatch.setattr(DECOMPOSE, "solve_nnls_bpp", capture)
+    model = DECOMPOSE._anls_single(t, 2, 0, DecomposeConfig(max_outer_iters=5))
+    assert len(starts) == 3 * model.iterations
+    assert all(passive is not None for passive in starts)
+    # the strictly positive start: sweep 1's solves free every variable
+    assert [passive.shape for passive in starts[:3]] == [(2, 10), (2, 4), (2, 8)]
+    assert all(passive.all() for passive in starts[:3])
+    # later solves start from the support of the same mode's last solution
+    for passive, x in zip(starts[3:], solutions):
+        np.testing.assert_array_equal(passive, x > 0)
+
+
 class TestFailedRestarts:
     CFG = DecomposeConfig(n_restarts=3, max_outer_iters=60)
 
@@ -289,11 +312,17 @@ class TestFailedRestarts:
     def test_scan_records_a_rank_where_all_fail(self, monkeypatch):
         t, _ = planted_tensor(dims=(10, 4, 8), rank=2, seed=4)
         fail_seeds(monkeypatch, {0, 1, 2})
-        result = rank_scan(t, [1, 2], self.CFG)
-        assert all(r.failed for r in result.records)
-        assert result.best_by_rank() == {}
-        with pytest.raises(MatchFactorError, match="rank 2"):
-            result.best(2)
+        for ranks in ([1, 2], [2]):  # also at one rank, which has a rationale of its own
+            result = rank_scan(t, ranks, self.CFG)
+            assert all(r.failed for r in result.records)
+            assert result.best_by_rank() == {}
+            with pytest.raises(MatchFactorError, match="rank 2"):
+                result.best(2)
+            assert result.selected_rank == ranks[0]
+            assert result.rationale == (
+                "no restart succeeded at any rank; "
+                f"defaulting to the smallest scanned rank {ranks[0]}"
+            )
 
 
 class TestOneEngine:

@@ -21,7 +21,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as hst
 
 from matchfactor import kruskal_tensor, planted_factors, save_tensor3
-from matchfactor.cli import main
+from matchfactor.cli import _tensor_key, main
 
 from test_cli import CSV_FIXTURE
 from test_data import csv_to_jsonl, csv_to_riot_json
@@ -39,12 +39,16 @@ UNREADABLE = ["bad-json", "bad-utf8", "directory", "missing"]
 BAD_CONTAINERS = [f"malformed-{case}" for case in MALFORMED_CONTAINERS] + UNREADABLE
 EXPORTS = ["export.csv", "export.jsonl", "export.riot.json"]
 
+# the planted input container's tensor
+PLANTED = kruskal_tensor([1.0, 1.0], *planted_factors(12, 4, 10, 2, seed=0)[:3])
+
 # the states of an analyze run's rank_selection.json; None: absent
 SELECTIONS = [
     None,
-    json.dumps({"selected_rank": 2}).encode(),
+    json.dumps({"selected_rank": 2, "tensor": _tensor_key(PLANTED)}).encode(),
 ]
 BAD_SELECTIONS = [
+    json.dumps({"selected_rank": 2}).encode(),  # no tensor recorded
     json.dumps({"selected_rank": 0}).encode(),
     json.dumps({"selected_rank": 10**30}).encode(),
     json.dumps({"selected_rank": "x"}).encode(),
@@ -58,10 +62,8 @@ BAD_SELECTIONS = [
 def inputs(tmp_path_factory):
     """A directory of every named input file (``missing`` is left out)."""
     root = tmp_path_factory.mktemp("inputs")
-    users, feats, time, _ = planted_factors(12, 4, 10, 2, seed=0)
     winner = np.random.default_rng(0).integers(0, 2, (12, 10)).tolist()
-    tensor = kruskal_tensor([1.0, 1.0], users, feats, time)
-    save_tensor3(root / "planted", tensor, {"winner": winner})
+    save_tensor3(root / "planted", PLANTED, {"winner": winner})
     for case, (text, _) in MALFORMED_CONTAINERS.items():
         (root / f"malformed-{case}").write_text(text)
     (root / "bad-json").write_text("{bad")

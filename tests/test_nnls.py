@@ -226,6 +226,16 @@ class TestWarmStart:
             objective = [0.5 * v @ prob.gram @ v - prob.rhs[:, col] @ v for v in (x, expect)]
             assert objective[0] == pytest.approx(objective[1], rel=0, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["positive-definite", "rank-deficient", "zero"])
+    def test_no_passive_set_starts_from_every_variable(self, kind):
+        rng = np.random.default_rng(44)
+        for _ in range(60):
+            prob = self.warm_problems(rng, kind)
+            default = solve_nnls_bpp(prob)
+            full = solve_nnls_bpp(prob, passive=np.ones(prob.rhs.shape, dtype=bool))
+            assert default.x.tobytes() == full.x.tobytes()
+            assert default.iterations == full.iterations
+
     def test_rejects_passive_shape_mismatch(self):
         prob = NnlsProblem(np.eye(2), np.zeros((2, 3)))
         with pytest.raises(ValueError, match="passive shape"):
