@@ -7,6 +7,10 @@ factors, noise and wins.  ``random`` is loaded at start-up anyway and seeds
 from an integer without ``hashlib``, while the first use of ``numpy.random``
 would load that package and add about 6 MB to a stage's peak RSS.
 
+Each draw has one form.  ``random(shape)``, ``uniform(low, high, size)`` and
+``standard_normal(shape)`` fill an array; ``integers(n)`` and ``choice(p)``
+give one index, ``choice`` in proportion to the 1-D weights ``p``.
+
 There is one kind of uniform: ``k * 2**-53`` for the top 53 bits ``k`` of
 each little-endian 64-bit word of ``randbytes``, so a seed gives the same
 values on every platform.  Normals are Box-Muller pairs of one such uniform
@@ -43,10 +47,8 @@ class SeededRandom:
         out *= 2.0**-53
         return out
 
-    def uniform(self, low: float, high: float, size=None):
-        """Uniforms on [low, high): a float when ``size`` is None, else an array."""
-        if size is None:
-            return low + (high - low) * float(self.random(()))
+    def uniform(self, low: float, high: float, size) -> np.ndarray:
+        """Uniforms on [low, high) in an array of ``size``."""
         out = self.random(size)
         out *= high - low
         out += low
@@ -77,14 +79,14 @@ class SeededRandom:
         """A uniform integer in [0, n)."""
         return self._gen.randrange(n)
 
-    def choice(self, n: int, p: np.ndarray) -> int:
-        """An index in [0, n) drawn with probabilities ``p``, by inverse CDF.
+    def choice(self, p: np.ndarray) -> int:
+        """An index drawn in proportion to the 1-D weights ``p``, by inverse CDF.
 
         ``p`` need not sum to exactly 1; an index of weight 0 is never drawn.
         """
         cdf = np.cumsum(p, dtype=np.float64)
-        if cdf.shape != (n,) or not cdf[-1] > 0:
-            raise ValueError(f"need {n} weights with a positive sum")
+        if np.ndim(p) != 1 or not (cdf.size and cdf[-1] > 0):
+            raise ValueError("need 1-D weights with a positive sum")
         # the last entry is then exactly 1 > u, and a zero weight repeats
         # its predecessor, which no u falls between
         cdf /= cdf[-1]

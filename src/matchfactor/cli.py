@@ -489,7 +489,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = Path(args.out_dir)
     try:
-        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        # a dangling link exists here too: mkdir cannot make a directory over it
+        if not next(p for p in (out, *out.parents) if p.is_symlink() or p.exists()).is_dir():
             out.mkdir(parents=True)  # raises mkdir's error now, not after the stage has run
         artifacts, warnings, message = args.func(args)
         _write_artifacts(out, _config_echo(args), artifacts)

@@ -65,8 +65,6 @@ class NnlsProblem:
         rhs = np.ascontiguousarray(self.rhs, dtype=np.float64)
         if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
             raise ValueError(f"gram must be square, got shape {gram.shape}")
-        if rhs.ndim == 1:
-            rhs = rhs.reshape(-1, 1)
         if rhs.ndim != 2 or rhs.shape[0] != gram.shape[0]:
             raise ValueError(
                 f"rhs shape {rhs.shape} inconsistent with gram shape {gram.shape}"
@@ -103,8 +101,6 @@ def kkt_residual(problem: NnlsProblem, x: np.ndarray) -> float:
     ``x * w = 0``.  Zero exactly at a KKT point.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
     if x.shape != problem.rhs.shape:
         raise ValueError(f"x shape {x.shape} does not match rhs shape {problem.rhs.shape}")
     return float(_kkt_by_column(problem.gram, problem.rhs, x).max(initial=0.0))

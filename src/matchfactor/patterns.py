@@ -182,7 +182,7 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: SeededRandom) -> np.ndarray
     d2 = ((points - points[chosen[0]]) ** 2).sum(axis=1)
     for _ in range(1, k):
         # each next center with probability proportional to d2
-        chosen.append(rng.choice(n, d2) if d2.sum() > 0 else rng.integers(n))
+        chosen.append(rng.choice(d2) if d2.sum() > 0 else rng.integers(n))
         d2 = np.minimum(d2, ((points - points[chosen[-1]]) ** 2).sum(axis=1))
     return points[chosen].copy()
 

@@ -16,6 +16,9 @@ exactly representable downstream.
 Every draw comes from one stream per dataset: a single
 ``_rng.SeededRandom(seed)`` draws the planted factors, then the noise, then
 the wins, so the noise never replays the draws that planted the factors.
+Each planted factor takes its draws in one call per kind: the users'
+outsider loadings, then all members' loadings in user order, then the
+signature loadings of every component in turn, then one phase per component.
 ``synth`` never loads ``numpy.random``.
 """
 
@@ -156,29 +159,22 @@ def _planted_factors(
     if signatures is None:
         signatures = _default_signatures(rank, n_features)
 
-    lo_m, hi_m = _MEMBER_RANGE
-    lo_o, hi_o = _OUTSIDER_RANGE
-    users = rng.uniform(lo_o, hi_o, size=(n_users, rank))
-    labels = np.zeros(n_users, dtype=int)
-    start = 0
-    for r, size in enumerate(group_sizes):
-        block = slice(start, start + size)
-        users[block, r] = rng.uniform(lo_m, hi_m, size=size)
-        labels[start : start + size] = r
-        start += size
+    # the groups are consecutive blocks of users, in component order
+    labels = np.repeat(np.arange(rank), group_sizes)
+    users = rng.uniform(*_OUTSIDER_RANGE, size=(n_users, rank))
+    users[np.arange(n_users), labels] = rng.uniform(*_MEMBER_RANGE, size=n_users)
     if anchor_zero_row:
         users[0] = 0.0
 
     features = np.zeros((n_features, rank))
-    for r, sig in enumerate(signatures):
-        features[list(sig), r] = rng.uniform(*_SIGNATURE_RANGE, size=len(sig))
+    rows = [f for sig in signatures for f in sig]
+    cols = np.repeat(np.arange(rank), [len(sig) for sig in signatures])
+    features[rows, cols] = rng.uniform(*_SIGNATURE_RANGE, size=len(rows))
 
     steps = np.arange(n_steps) / max(n_steps, 1)
-    time = np.empty((n_steps, rank))
-    for r in range(rank):
-        freq = 1.0 + 0.65 * r
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        time[:, r] = 0.55 + 0.35 * np.sin(2.0 * np.pi * freq * steps + phase)
+    freqs = 1.0 + 0.65 * np.arange(rank)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=rank)
+    time = 0.55 + 0.35 * np.sin(2.0 * np.pi * freqs * steps[:, None] + phases)
     return users, features, time, labels
 
 

@@ -72,6 +72,37 @@ def permute_components(model, perm):
     )
 
 
+def planted_factors_by_loops(
+    rng, n_users, n_features, n_steps, rank, signatures, group_sizes, anchor_zero_row
+):
+    """The planted ``(users, features, time, labels)`` drawn from ``rng``
+    one group, one signature and one phase at a time, each uniform formed
+    from ``rng.random`` as ``low + (high - low) * u``."""
+
+    def uniform(low, high, size):
+        return low + (high - low) * rng.random(size)
+
+    users = uniform(0.0, 0.12, (n_users, rank))
+    labels = np.zeros(n_users, dtype=int)
+    start = 0
+    for r, size in enumerate(group_sizes):
+        users[start : start + size, r] = uniform(0.75, 1.0, size)
+        labels[start : start + size] = r
+        start += size
+    if anchor_zero_row:
+        users[0] = 0.0
+    features = np.zeros((n_features, rank))
+    for r, sig in enumerate(signatures):
+        features[list(sig), r] = uniform(0.6, 1.0, len(sig))
+    steps = np.arange(n_steps) / max(n_steps, 1)
+    time = np.empty((n_steps, rank))
+    for r in range(rank):
+        freq = 1.0 + 0.65 * r
+        phase = uniform(0.0, 2.0 * np.pi, ())
+        time[:, r] = 0.55 + 0.35 * np.sin(2.0 * np.pi * freq * steps + phase)
+    return users, features, time, labels
+
+
 def nnls_by_enumeration(gram: np.ndarray, rhs_col: np.ndarray) -> np.ndarray:
     """Exhaustive active-set search: solve the equality-constrained problem
     for every support pattern and keep the feasible minimizer."""

@@ -717,13 +717,14 @@ class TestAnalyze:
         "case",
         [
             "--k 0", "--membership-fraction 2", "unpopulated k", "missing input",
-            "out-dir a file", "out-dir under a file",
+            "out-dir a file", "out-dir under a file", "dangling link", "under a dangling link",
         ],
     )
     def test_failed_stage_leaves_out_dir_as_it_was(self, tmp_path, monkeypatch, capsys, case):
         # a flag fails before the fit; k-means fails after it, with the model
         # already computed; a missing input creates no fresh --out-dir; an
-        # --out-dir that is a file, or under one, fails before the fit
+        # --out-dir that is a file or a dangling link, or under one, fails
+        # before the fit
         out = synth_and_ingest(tmp_path)
         assert self.analyze(out) == 0
         before = {path.name: path.read_bytes() for path in out.iterdir()}
@@ -733,15 +734,21 @@ class TestAnalyze:
             fresh = tmp_path / "a"
             code = run("rank-scan", "--input", tmp_path / "missing.json", "--out-dir", fresh / "b")
             assert not fresh.exists()
-        elif case.startswith("out-dir"):
+        elif "file" in case or "link" in case:
             blocker = tmp_path / "blocker"
-            blocker.write_text("x")
+            if "link" in case:
+                blocker.symlink_to("nowhere")
+            else:
+                blocker.write_text("x")
             entries = sorted(tmp_path.iterdir())
             calls = fail_seeds(monkeypatch, set())
-            target = blocker if case == "out-dir a file" else blocker / "sub"
+            target = blocker / "sub" if "under" in case else blocker
             args = ["--ranks", 1, "--restarts", 1, "--out-dir", target]
             code = run("rank-scan", "--input", out / "tensor.json", *args)
-            assert blocker.read_text() == "x"
+            if "link" in case:
+                assert os.readlink(blocker) == "nowhere" and not blocker.exists()
+            else:
+                assert blocker.read_text() == "x"
             assert sorted(tmp_path.iterdir()) == entries  # no directory was made
             assert calls == []  # no restart was fitted
         elif case == "unpopulated k":

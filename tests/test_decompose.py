@@ -32,7 +32,7 @@ from matchfactor import (
 )
 
 from matchfactor._rng import SeededRandom
-from matchfactor.decompose import _max_assignment
+from matchfactor.decompose import _max_assignment, _select_knee
 
 from helpers import kruskal_by_loops, permute_components
 
@@ -490,6 +490,12 @@ class TestRankScan:
         result = rank_scan(t, [2], DecomposeConfig(n_restarts=2))
         assert result.selected_rank == 2
         assert "no knee possible" in result.rationale
+
+    def test_no_rank_reaching_the_floor_defaults_to_the_smallest(self):
+        assert _select_knee([2, 3, 4], [10.0, -5.0, 20.0]) == (
+            2,
+            "no rank reached core consistency 50; defaulting to the smallest scanned rank 2",
+        )
 
     def test_record_cardinality(self):
         t, _ = planted_tensor(dims=(10, 4, 8), rank=2, seed=4)

@@ -25,9 +25,10 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match=r"^gram must be square, got shape \(2, 3\)$"):
             NnlsProblem(np.ones((2, 3)), np.zeros((2, 1)))
 
-    def test_vector_rhs_promoted(self):
-        prob = NnlsProblem(np.eye(2), np.array([1.0, 2.0]))
-        assert prob.rhs.shape == (2, 1)
+    def test_vector_rhs_rejected(self):
+        # rhs is n x m, one column per right-hand side, even for m = 1
+        with pytest.raises(ValueError, match=r"^rhs shape \(2,\) inconsistent with gram shape"):
+            NnlsProblem(np.eye(2), np.array([1.0, 2.0]))
 
 
 class TestTrivialCases:
@@ -167,8 +168,8 @@ class TestKktResidual:
         prob = NnlsProblem(np.eye(2), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="shape"):
             kkt_residual(prob, np.zeros((3, 1)))
-        with pytest.raises(ValueError, match=r"^x shape \(3, 1\) does not match"):
-            kkt_residual(prob, np.zeros(3))  # a vector is one column
+        with pytest.raises(ValueError, match=r"^x shape \(2,\) does not match"):
+            kkt_residual(prob, np.zeros(2))  # x is n x m, like rhs
 
 
 class TestWarmStart:

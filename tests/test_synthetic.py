@@ -21,7 +21,7 @@ from matchfactor import (
 from matchfactor._rng import SeededRandom
 from matchfactor.synthetic import _planted_factors
 
-from helpers import relative_noise_by_expression
+from helpers import planted_factors_by_loops, relative_noise_by_expression
 
 
 def small_spec(**overrides):
@@ -132,6 +132,32 @@ class TestGenerate:
         expect = apply_relative_noise(clean, spec.noise, rng)
         expect *= scales
         np.testing.assert_array_equal(counts, expect)
+
+    def test_planted_draws_match_the_per_component_loops(self):
+        # one draw per planted factor takes the same words in the same order
+        # as one draw per group, per signature and per phase
+        gen = np.random.default_rng(30)
+        specs = [
+            (4, 1, [7], [(2,)], False),  # rank 1
+            # empty groups, a feature repeated within a signature, the zero row
+            (4, 3, [0, 5, 0], [(0, 3), (1,), (2, 2, 0)], True),
+        ]
+        for _ in range(200):
+            n_features, rank = (int(v) for v in gen.integers(1, 6, size=2))
+            sizes = gen.integers(0, 6, size=rank)
+            sizes[gen.integers(rank)] += 1  # at least one user
+            sigs = [tuple(gen.integers(0, n_features, size=gen.integers(1, 5)).tolist())
+                    for _ in range(rank)]
+            specs.append((n_features, rank, sizes.tolist(), sigs, bool(gen.integers(2))))
+        for seed, (n_features, rank, sizes, sigs, anchor) in enumerate(specs):
+            args = (sum(sizes), n_features, 1 + seed % 128, rank, tuple(sigs), tuple(sizes), anchor)
+            rng, loops = SeededRandom(seed), SeededRandom(seed)
+            got = _planted_factors(rng, *args)
+            expect = planted_factors_by_loops(loops, *args)
+            for a, b in zip(got, expect):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            # the noise and the wins that follow draw the same words
+            assert rng.random(4).tolist() == loops.random(4).tolist()
 
     def test_deterministic_given_seed(self):
         a = generate_synthetic(small_spec(seed=5))
