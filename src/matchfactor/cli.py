@@ -327,8 +327,8 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[str], str]:
             "cluster_means": list(stats.cluster_means),
             "cluster_sizes": list(stats.cluster_sizes),
             "pairwise": [
-                {"cluster_a": a, "cluster_b": b, "t": t_stat, "p": p}
-                for a, b, t_stat, p in stats.pairwise_tests
+                {"cluster_a": a, "cluster_b": b, "t": t_stat, "p": p, "p_holm": p_holm}
+                for a, b, t_stat, p, p_holm in stats.pairwise_tests
             ],
         }
     artifacts["analyze_summary.json"] = {

@@ -23,7 +23,7 @@ Input formats
     list order.
 
 An undecodable line in any of them is a ``MalformedRecord`` with its line
-number.
+number, and so is a record with an integer field outside int64.
 
 Retention rule
 --------------
@@ -37,9 +37,8 @@ too, is a raw row, parsed a chunk at a time and appended to typed
 columns, so the first malformed record in file order raises and a record
 is held once, in a few dozen bytes.  ``ingest`` finds repeated
 (player, match_index) keys with one stable sort of the record columns,
-which compares indices past int64 as Python ints, drops each column once
-it is used, and scatters the kept rows into the dense arrays of a
-``Dataset`` one feature at a time.
+drops each column once it is used, and scatters the kept rows into the
+dense arrays of a ``Dataset`` one feature at a time.
 """
 
 from __future__ import annotations
@@ -142,9 +141,12 @@ def _parse_number(raw, name: str, where: str, line: int | None) -> float:
 
 def _parse_int(raw, name: str, where: str, line: int | None) -> int:
     try:
-        return int(str(raw))
+        value = int(str(raw))
     except (TypeError, ValueError):
         raise MalformedRecord(f"{where}: {name} is not an integer ({raw!r})", line) from None
+    if not -(2**63) <= value < 2**63:
+        raise MalformedRecord(f"{where}: {name} is outside int64 ({raw!r})", line)
+    return value
 
 
 def _parse_row(values, where: str, line: int | None) -> tuple:
@@ -169,13 +171,6 @@ def _parse_row(values, where: str, line: int | None) -> tuple:
     return (player_id, match_index, *counts, winner, arena)
 
 
-def _int_column(values) -> np.ndarray:
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:  # beyond int64: compare as Python ints
-        return np.array(values, dtype=object)
-
-
 _WINNER = {"0": False, "1": True}
 # an empty field counts as missing; a value that cannot be hashed fails the
 # check with TypeError, so its chunk is parsed row by row
@@ -191,9 +186,9 @@ def _parse_chunk(chunk) -> list:
     """The fields of ``(values, where, line)`` rows, one sequence per field:
     player name, match index, the four counts, winner and arena.
 
-    The fields are parsed in bulk with the checks of ``_parse_row``; a
-    chunk that fails them is parsed again row by row, so the first invalid
-    row raises, with its line.
+    The fields are parsed in bulk with the checks of ``_parse_row``, the
+    integers into int64 arrays; a chunk that fails them is parsed again row
+    by row, so the first invalid row raises, with its line.
     """
     fields = list(zip(*(values for values, _, _ in chunk)))
     try:
@@ -202,13 +197,13 @@ def _parse_chunk(chunk) -> list:
         players, match_index, *counts, winner, arena = fields
         fields = [
             list(map(str, players)),
-            _ints(match_index),
+            np.array(_ints(match_index), dtype=np.int64),
             *(list(map(float, col)) for col in counts),
             [w if w is True or w is False else _WINNER[str(w)] for w in winner],
-            _ints(arena),
+            np.array(_ints(arena), dtype=np.int64),
         ]
         block = np.array(fields[2:6])
-        if min(fields[1]) < 0 or not ((block >= 0) & (block < np.inf)).all():
+        if fields[1].min() < 0 or not ((block >= 0) & (block < np.inf)).all():
             raise ValueError("invalid field")
         fields[2:6] = block
     except (KeyError, TypeError, ValueError, OverflowError):
@@ -220,8 +215,7 @@ class _Columns:
     """Rows ``(values, where, line)`` staged and parsed by ``_parse_chunk``
     ``_CHUNK`` at a time into typed columns, so that a record is held once:
     player code (an index into ``names``), match index, the four counts,
-    winner and arena.  An integer column turns into a list once it meets a
-    value beyond int64."""
+    winner and arena."""
 
     # each column's array typecode and dtype
     _TYPES = (
@@ -255,22 +249,14 @@ class _Columns:
         for name in dict.fromkeys(players):
             self.names.setdefault(name, len(self.names))
         codes = np.fromiter(map(self.names.__getitem__, players), np.int64, len(players))
-        for i, (values, (_, dtype)) in enumerate(zip([codes, *rest], self._TYPES)):
-            column = self.columns[i]
-            if isinstance(column, list):
-                column.extend(values)
-                continue
-            try:
-                column.frombytes(np.asarray(values, dtype).tobytes())
-            except OverflowError:  # an integer beyond int64: keep Python ints
-                self.columns[i] = [*column, *values]
+        for column, values, (_, dtype) in zip(self.columns, [codes, *rest], self._TYPES):
+            column.frombytes(np.asarray(values, dtype).tobytes())
 
     def arrays(self) -> tuple:
         """The player names and the columns as arrays over the staged
         buffers, the counts as four columns of one feature each."""
         player, match_index, *counts, winner, arena = (
-            np.array(c, dtype=object) if isinstance(c, list) else np.frombuffer(c, dtype)
-            for c, (_, dtype) in zip(self.columns, self._TYPES)
+            np.frombuffer(c, dtype) for c, (_, dtype) in zip(self.columns, self._TYPES)
         )
         return list(self.names), player, match_index, counts, winner, arena
 
@@ -346,7 +332,7 @@ def _riot_columns(path) -> tuple:
     columns, creation = _riot_seats(path)
     names, player, pos, counts, winner, arena = columns.arrays()
     # lexsort is stable: seats of one player and gameCreation keep file order
-    order = np.lexsort((_int_column(creation)[pos], player))
+    order = np.lexsort((np.array(creation, dtype=np.int64)[pos], player))
     played = np.bincount(player, minlength=len(names))
     match_index = np.empty_like(player)
     match_index[order] = np.arange(player.size)
@@ -426,7 +412,8 @@ _STATS = ("assists", "deaths", "kills", "goldEarned", "win")
 def _seat_rows(match, pos: int, creation: list):
     """The rows of the seats of the riot match at list position ``pos``,
     after its ``gameCreation`` is appended to ``creation``.  A malformed
-    match raises where it is found, after the rows of the seats before it."""
+    match, or a second seat of one player, raises where it is found, after
+    the rows of the seats before it."""
     where = f"match {pos}"
     if not isinstance(match, dict):
         raise MalformedRecord(f"{where}: not an object")
@@ -434,7 +421,7 @@ def _seat_rows(match, pos: int, creation: list):
     creation.append(_parse_int(match.get("gameCreation", pos), "gameCreation", where, None))
     seat = f"match at position {pos}"
     try:
-        identities = {}
+        identities, seated = {}, set()
         for ident in match.get("participantIdentities", []):
             pid = ident.get("participantId")
             player = (ident.get("player") or {}).get("summonerName")
@@ -445,8 +432,11 @@ def _seat_rows(match, pos: int, creation: list):
             pid = part.get("participantId")
             if pid not in identities:
                 raise MalformedRecord(f"{where}: participant {pid} has no identity")
+            if (player := identities[pid]) in seated:
+                raise MalformedRecord(f"{where}: player {player!r} has a second seat")
+            seated.add(player)
             stats = part.get("stats") or {}
-            row = (identities[pid], pos, *map(stats.get, _STATS), arena)
+            row = (player, pos, *map(stats.get, _STATS), arena)
             if None in row:
                 missing = [k for k, v in zip(CSV_HEADER[2:7], row[2:7]) if v is None]
                 raise MalformedRecord(f"{where}: missing fields {missing}")
@@ -479,7 +469,7 @@ def ingest(
     if n_matches < 1:
         raise ValueError(f"n_matches must be >= 1, got {n_matches}")
     names, player, match_index, counts, winner, arena = _READERS[fmt](path)
-    in_arena = np.asarray(arena == arena_id, dtype=bool)
+    in_arena = arena == arena_id
     records_read, records_other_arena = arena.size, arena.size - int(np.count_nonzero(in_arena))
     del arena  # the columns are dropped as soon as they are used
     row = _first_repeat(player, match_index, in_arena)
@@ -487,7 +477,7 @@ def ingest(
         key = (names[player[row]], int(match_index[row]))
         raise DuplicateKey(f"duplicate record for {key}")
 
-    early = in_arena & np.asarray(match_index < n_matches, dtype=bool)
+    early = in_arena & (match_index < n_matches)
     history = np.bincount(player[early], minlength=len(names))
     # keys are unique and indices non-negative: n_matches early records are
     # exactly matches 0 .. n_matches-1
@@ -503,7 +493,7 @@ def ingest(
     position[retained] = np.arange(len(retained))
     rows = early & complete[player]
     at = position[player[rows]]
-    k = np.asarray(match_index[rows], dtype=np.int64)
+    k = match_index[rows]
     del early, in_arena, player, match_index
     dataset = Dataset(
         player_ids=tuple(names[c] for c in retained),

@@ -557,6 +557,17 @@ def welch_t_test(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(t), _t_two_tail(float(t), float(df))
 
 
+def _holm(p) -> list[float]:
+    """Holm's step-down adjusted p-values, in the order of ``p``: the i-th
+    smallest is scaled by ``m - i`` (i from 0), raised to the largest
+    adjusted value before it and capped at 1."""
+    adjusted, running = [0.0] * len(p), 0.0
+    for i, j in enumerate(sorted(range(len(p)), key=p.__getitem__)):
+        running = max(running, min(1.0, (len(p) - i) * p[j]))
+        adjusted[j] = running
+    return adjusted
+
+
 # ---------------------------------------------------------------------------
 # win-rate statistics
 
@@ -570,7 +581,7 @@ class WinRateStats:
     cluster_means: tuple[float, ...]
     grid: np.ndarray
     densities: np.ndarray  # (n_clusters, len(grid))
-    pairwise_tests: tuple[tuple[int, int, float, float], ...]  # (a, b, t, p)
+    pairwise_tests: tuple[tuple[int, int, float, float, float], ...]  # (a, b, t, p, p_holm)
 
 
 def win_rate_stats(
@@ -578,7 +589,8 @@ def win_rate_stats(
     labels: np.ndarray,
     mode: str = "player-mean",
 ) -> WinRateStats:
-    """KDE curves and pairwise Welch tests of the winner feature by cluster.
+    """KDE curves and pairwise Welch tests of the winner feature by cluster,
+    each test's p-value also Holm-adjusted over all the pairs.
 
     ``mode='player-mean'`` (default) analyzes one win-rate value per player,
     the mean of that player's binary outcomes; ``mode='raw'`` analyzes the
@@ -608,6 +620,7 @@ def win_rate_stats(
     for i, j in combinations(range(len(clusters)), 2):
         t_stat, p = welch_t_test(samples[i], samples[j])
         tests.append((int(clusters[i]), int(clusters[j]), t_stat, p))
+    holm = _holm([p for *_, p in tests])
 
     return WinRateStats(
         mode=mode,
@@ -615,7 +628,7 @@ def win_rate_stats(
         cluster_means=tuple(float(s.mean()) for s in samples),
         grid=grid,
         densities=densities,
-        pairwise_tests=tuple(tests),
+        pairwise_tests=tuple((*test, p) for test, p in zip(tests, holm)),
     )
 
 

@@ -91,6 +91,9 @@ class SyntheticSpec:
         for bias in self.win_bias:
             if not 0.0 <= 0.5 + bias <= 1.0:
                 raise ValueError(f"win bias {bias} leaves the [0, 1] probability range")
+        # ingest refuses an integer field past int64
+        if not -(2**63) <= self.arena_id < 2**63:
+            raise ValueError(f"arena_id {self.arena_id} is outside int64")
 
 
 @dataclass(frozen=True)

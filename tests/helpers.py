@@ -280,9 +280,13 @@ def _parse_winner(raw, where, line):
 
 def _parse_int(raw, name, where, line):
     try:
-        return int(str(raw))
+        value = int(str(raw))
     except (TypeError, ValueError):
         raise MalformedRecord(f"{where}: {name} is not an integer ({raw!r})", line) from None
+    bounds = np.iinfo(np.int64)
+    if not bounds.min <= value <= bounds.max:
+        raise MalformedRecord(f"{where}: {name} is outside int64 ({raw!r})", line)
+    return value
 
 
 def _record_from_mapping(row, where, line):
@@ -361,10 +365,14 @@ def _records_from_riot_match_json(path):
             if pid is None or not player:
                 raise MalformedRecord(f"{where}: incomplete participant identity")
             identities[pid] = str(player)
+        seated = []
         for part in match.get("participants", []):
             pid = part.get("participantId")
             if pid not in identities:
                 raise MalformedRecord(f"{where}: participant {pid} has no identity")
+            if identities[pid] in seated:
+                raise MalformedRecord(f"{where}: player {identities[pid]!r} has a second seat")
+            seated.append(identities[pid])
             stats = part.get("stats") or {}
             row = {
                 "player_id": identities[pid],

@@ -577,6 +577,10 @@ class TestAnalyze:
         assert sorted(clusters["cluster_sizes"]) == [12, 12, 12]
         tests = json.loads((out / "win_rate_tests.json").read_text())
         assert len(tests["pairwise"]) == 3
+        # Holm's step-down: the smallest p is scaled by the three pairs
+        smallest = min(tests["pairwise"], key=lambda t: t["p"])
+        assert smallest["p_holm"] == min(1.0, 3 * smallest["p"])
+        assert all(t["p"] <= t["p_holm"] <= 1 for t in tests["pairwise"])
 
     def test_missing_rank_without_selection(self, tmp_path, capsys):
         out = synth_and_ingest(tmp_path)
@@ -977,6 +981,29 @@ class TestMalformedInputs:
         path.write_text(MALFORMED_CONTAINERS[case][0])
         assert run(command, "--input", path, "--out-dir", tmp_path / "o") == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize(
+        "fmt, convert, message",
+        [
+            ("csv", str, f"line 8: csv record: arena_id is outside int64 ('{2**63}')"),
+            (
+                "json-lines",
+                csv_to_jsonl,
+                f"line 7: json record: arena_id is outside int64 ({2**63})",
+            ),
+            ("riot-match-json", csv_to_riot_json, f"match 6: mapId is outside int64 ({2**63})"),
+        ],
+    )
+    def test_integer_beyond_int64(self, tmp_path, capsys, fmt, convert, message):
+        path = tmp_path / "d"
+        path.write_text(convert(CSV_FIXTURE + f"carol,0,1,1,1,1,0,{2**63}\n"))
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "kept.txt").write_text("x")
+        args = ["--format", fmt, "--matches", 3, "--out-dir", out]
+        assert run("ingest", "--input", path, *args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [(p.name, p.read_text()) for p in out.iterdir()] == [("kept.txt", "x")]
 
     @pytest.mark.parametrize("shape", sorted(RIOT_SHAPES))
     def test_riot_shape(self, tmp_path, capsys, shape):

@@ -337,39 +337,109 @@ class TestDatasetBuild:
 
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
 class TestIntegersBeyondInt64:
-    """Match indices and arenas past int64 are staged as Python ints and
-    compared as such."""
+    """A match index or arena past int64 is a malformed record, reported at
+    its line; values at the int64 limits read as any other."""
 
-    def ingest_with(self, tmp_path, fmt, rows):
+    def ingest_with(self, tmp_path, fmt, rows, arena_id=11):
         text = CSV_FIXTURE + "".join(f"{row}\n" for row in rows)
         if fmt == "json-lines":
-            return ingest(write(tmp_path, "d.jsonl", csv_to_jsonl(text)), fmt, n_matches=3)
-        return ingest(write(tmp_path, "d.csv", text), fmt, n_matches=3)
+            return ingest(write(tmp_path, "d.jsonl", csv_to_jsonl(text)), fmt, arena_id, 3)
+        return ingest(write(tmp_path, "d.csv", text), fmt, arena_id, 3)
+
+    def refused(self, tmp_path, fmt, rows, field, value):
+        """The error of ingesting ``rows``, which must name ``field`` and
+        ``value`` at the first added row."""
+        with pytest.raises(MalformedRecord) as err:
+            self.ingest_with(tmp_path, fmt, rows)
+        # csv holds a header line and the value as text
+        line, raw = (8, repr(str(value))) if fmt == "csv" else (7, repr(value))
+        where = "csv record" if fmt == "csv" else "json record"
+        assert str(err.value) == f"line {line}: {where}: {field} is outside int64 ({raw})"
+        assert err.value.line == line
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("match_index", 2**63), ("arena_id", 2**63), ("arena_id", -(2**63) - 1)],
+        ids=["match_index-above", "arena_id-above", "arena_id-below"],
+    )
+    def test_beyond_int64_is_refused(self, tmp_path, fmt, field, value):
+        row = dict(zip(CSV_HEADER, ["carol", 0, 1, 1, 1, 5000, 1, 11]), **{field: value})
+        # a later malformed row in the same parse chunk is not the one reported
+        later = "carol,1,-1,1,1,5000,1,11"
+        self.refused(tmp_path, fmt, [",".join(map(str, row.values())), later], field, value)
 
     def test_late_match_is_read_and_truncated(self, tmp_path, fmt):
-        result = self.ingest_with(tmp_path, fmt, [f"alice,{2**70},1,1,1,1000,0,11"])
+        result = self.ingest_with(tmp_path, fmt, [f"alice,{2**63 - 1},1,1,1,1000,0,11"])
         plain = self.ingest_with(tmp_path, fmt, [])
         assert_same_dataset(result.dataset, plain.dataset)
         assert result.records_read == plain.records_read + 1
         assert result.records_other_arena == 0
 
     def test_repeat_beyond_int64(self, tmp_path, fmt):
-        rows = [f"p0,{2**70},1,1,1,1000,0,11"] * 2
-        with pytest.raises(DuplicateKey, match=r"\('p0', 1180591620717411303424\)$"):
-            self.ingest_with(tmp_path, fmt, rows)
+        # the first of the two records is refused; no key is compared
+        rows = [f"p0,{2**63},1,1,1,1000,0,11"] * 2
+        self.refused(tmp_path, fmt, rows, "match_index", 2**63)
 
     def test_repeat_near_the_top_of_int64(self, tmp_path, fmt):
-        rows = [f"p0,{2**62},1,1,1,1000,0,11", f"p0,{2**62 + 1},1,1,1,1000,0,11",
-                f"p0,{2**62 + 1},2,2,2,2000,1,11"]
-        with pytest.raises(DuplicateKey, match=rf"\('p0', {2**62 + 1}\)$"):
+        rows = [f"p0,{2**63 - 2},1,1,1,1000,0,11", f"p0,{2**63 - 1},1,1,1,1000,0,11",
+                f"p0,{2**63 - 1},2,2,2,2000,1,11"]
+        with pytest.raises(DuplicateKey, match=rf"\('p0', {2**63 - 1}\)$"):
             self.ingest_with(tmp_path, fmt, rows)
 
-    def test_arena_beyond_int64_is_another_arena(self, tmp_path, fmt):
-        result = self.ingest_with(tmp_path, fmt, [f"carol,0,1,1,1,5000,1,{2**70}"])
+    @pytest.mark.parametrize("arena", [2**63 - 1, -(2**63)])
+    def test_arena_at_the_int64_limits_is_another_arena(self, tmp_path, fmt, arena):
+        result = self.ingest_with(tmp_path, fmt, [f"carol,0,1,1,1,5000,1,{arena}"])
         plain = self.ingest_with(tmp_path, fmt, [])
         assert_same_dataset(result.dataset, plain.dataset)
         assert result.records_read == plain.records_read + 1
         assert result.records_other_arena == 1
+
+    def test_arena_at_the_top_of_int64_is_chosen_exactly(self, tmp_path, fmt):
+        # as floats, the two arenas would be one
+        rows = [f"{p},{k},1,1,1,5000,1,{arena}" for k in range(3)
+                for p, arena in (("dan", 2**63 - 1), ("erin", 2**63 - 2))]
+        result = self.ingest_with(tmp_path, fmt, rows, arena_id=2**63 - 1)
+        assert result.dataset.player_ids == ("dan",)
+        assert result.records_other_arena == 6 + 3
+
+
+class TestRiotIntegersBeyondInt64:
+    """A ``mapId`` or ``gameCreation`` past int64 is a malformed match; the
+    int64 limits read as any other value."""
+
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    @pytest.mark.parametrize("field", ["mapId", "gameCreation"])
+    def test_field_beyond_int64_is_refused(self, tmp_path, field, value):
+        matches = two_seat_matches(3)
+        matches[1][field] = value
+        path = write(tmp_path, "d.json", json.dumps({"matches": matches}))
+        with pytest.raises(MalformedRecord) as err:
+            ingest(path, "riot-match-json", n_matches=3)
+        assert str(err.value) == f"match 1: {field} is outside int64 ({value})"
+        assert err.value.line is None
+        assert_same_as_reference(path, "riot-match-json")
+
+    def test_creation_at_the_int64_limits_orders_the_matches(self, tmp_path):
+        matches = two_seat_matches(3)
+        for k, (match, creation) in enumerate(zip(matches, [2**63 - 1, -(2**63), 0])):
+            match["gameCreation"] = creation
+            match["participants"][0]["stats"]["assists"] = k
+        path = write(tmp_path, "d.json", json.dumps({"matches": matches}))
+        result = ingest(path, "riot-match-json", n_matches=3)
+        zed = result.dataset.player_ids.index("zed")
+        np.testing.assert_array_equal(result.dataset.counts[zed, 0], [1, 2, 0])
+        assert_same_as_reference(path, "riot-match-json")
+
+    @pytest.mark.parametrize("arena", [2**63 - 1, -(2**63)])
+    def test_map_id_at_the_int64_limits(self, tmp_path, arena):
+        matches = two_seat_matches(3)
+        for match in matches:
+            match["mapId"] = arena
+        path = write(tmp_path, "d.json", json.dumps({"matches": matches}))
+        result = ingest(path, "riot-match-json", arena_id=arena, n_matches=3)
+        assert result.dataset.player_ids == ("amy", "zed")
+        with pytest.raises(NoPlayersRetained):
+            ingest(path, "riot-match-json", n_matches=3)
 
 
 @settings(max_examples=200, deadline=None)
@@ -377,7 +447,7 @@ class TestIntegersBeyondInt64:
     hst.lists(
         hst.tuples(
             hst.integers(0, 3),
-            hst.integers(0, 4) | hst.sampled_from([2**62, 2**63 - 1, 2**70]),
+            hst.integers(0, 4) | hst.sampled_from([2**62, 2**63 - 1]),
             hst.booleans(),
         ),
         max_size=30,
@@ -391,9 +461,10 @@ def test_first_repeat_is_the_earliest_repeated_in_arena_pair(records):
         if in_arena:
             seen.add((player, index))
     player, index, in_arena = (list(c) for c in zip(*records)) if records else ([], [], [])
-    index = data_module._int_column(index)
     got = data_module._first_repeat(
-        np.array(player, dtype=np.int64), index, np.array(in_arena, dtype=bool)
+        np.array(player, dtype=np.int64),
+        np.array(index, dtype=np.int64),
+        np.array(in_arena, dtype=bool),
     )
     assert got == expected
 
@@ -595,6 +666,57 @@ class TestRiotErrorOrder:
         assert_same_as_reference(path, "riot-match-json")
 
 
+def riot_match(creation, names, participant_ids=None):
+    """A riot match in arena 11 that seats ``names``, the i-th under
+    participant id i + 1 unless ``participant_ids`` says otherwise."""
+    stats = {"assists": 1, "deaths": 2, "kills": 3, "goldEarned": 400, "win": True}
+    return {
+        "mapId": 11,
+        "gameCreation": creation,
+        "participantIdentities": [
+            {"participantId": i, "player": {"summonerName": name}}
+            for i, name in enumerate(names, 1)
+        ],
+        "participants": [
+            {"participantId": pid, "stats": dict(stats)}
+            for pid in participant_ids or range(1, len(names) + 1)
+        ],
+    }
+
+
+class TestRiotSeats:
+    """A match seats each player at most once: the second seat that resolves
+    to a seated player is a malformed match, found in participant order."""
+
+    def refused(self, tmp_path, matches, message):
+        path = write(tmp_path, "d.json", json.dumps({"matches": matches}))
+        with pytest.raises(MalformedRecord) as err:
+            ingest(path, "riot-match-json", n_matches=3)
+        assert str(err.value) == message
+        assert_same_as_reference(path, "riot-match-json")
+
+    def test_two_identities_with_one_summoner_name(self, tmp_path):
+        # p1 played two matches, not a complete history of three
+        matches = [riot_match(10, ["p1", "p2"]), riot_match(20, ["p1", "p1"])]
+        self.refused(tmp_path, matches, "match 1: player 'p1' has a second seat")
+
+    def test_two_participants_share_one_participant_id(self, tmp_path):
+        matches = [riot_match(10, ["p1", "p2"], participant_ids=[2, 2])]
+        self.refused(tmp_path, matches, "match 0: player 'p2' has a second seat")
+
+    def test_second_seat_is_found_before_its_stats(self, tmp_path):
+        matches = [riot_match(10, ["p1", "p2", "p1"])]
+        del matches[0]["participants"][2]["stats"]["kills"]
+        self.refused(tmp_path, matches, "match 0: player 'p1' has a second seat")
+
+    def test_earlier_seat_is_reported_first(self, tmp_path):
+        # the first seat's count is parsed with its chunk, and still wins
+        matches = [riot_match(10, ["p1", "p1"])]
+        matches[0]["participants"][0]["stats"]["kills"] = "x"
+        message = "match at position 0: kills is not numeric ('x')"
+        self.refused(tmp_path, matches, message)
+
+
 def riot_export(n_players, n_matches, seed=0):
     """A riot export shaped like the match endpoint's: every player's k-th
     match shares a ten-seat match object, and the match list is shuffled."""
@@ -726,8 +848,9 @@ class TestIntegerDigitLimit:
 
 def three_seat_matches(rows):
     """Riot matches of csv-style rows, three consecutive rows to a match
-    (so that a chunk of 512 rows ends inside a match), the k-th match
-    created at k; a field of digits is a number, any other a string."""
+    (so that a chunk of 512 rows ends inside a match, and the three must
+    name three players), the k-th match created at k; a field of digits is
+    a number, any other a string."""
     keys = ("assists", "deaths", "kills", "goldEarned", "win")
     matches = []
     for first in range(0, len(rows), 3):
@@ -767,7 +890,7 @@ class TestChunkBoundary:
         chunk = data_module._CHUNK
         bad_rows = [(chunk - 1, chunk, 2 * chunk - 1)[b] for b in bad]
         rows = [
-            f"p{r // 10},{r % 10},{'x' if r in bad_rows else 1},2,3,4000,1,11"
+            f"p{r % 10},{r // 10},{'x' if r in bad_rows else 1},2,3,4000,1,11"
             for r in range(3 * chunk)
         ]
         text = "\n".join([",".join(CSV_HEADER), *rows, ""])
@@ -790,7 +913,7 @@ class TestChunkBoundary:
         # the bad seat opens the second chunk, which is still filling when
         # the match without mapId is read: the first of the two raises
         chunk = data_module._CHUNK
-        rows = [f"p{r // 10},{r % 10},1,2,3,4000,1,11" for r in range(3 * chunk)]
+        rows = [f"p{r % 10},{r // 10},1,2,3,4000,1,11" for r in range(3 * chunk)]
         matches = three_seat_matches(rows)
         matches[chunk // 3]["participants"][chunk % 3]["stats"]["assists"] = "x"
         without = chunk // 3 + (2 if later else -2)

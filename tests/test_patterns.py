@@ -464,6 +464,28 @@ class TestWelch:
         assert np.isnan(_t_two_tail(np.nan, 5.0))
 
 
+class TestHolm:
+    """Holm's step-down adjustment on hand-worked examples."""
+
+    @pytest.mark.parametrize(
+        "p, adjusted",
+        [
+            # the seed-0 paper pipeline's pairs (0, 1), (0, 2) and (1, 2) at rank 3
+            ([0.03063, 0.06429, 1.283e-05], [0.06126, 0.06429, 3.849e-05]),
+            # 0.04 times 1 is raised to the 0.06 before it
+            ([0.01, 0.04, 0.03, 0.005], [0.03, 0.06, 0.06, 0.02]),
+            # 0.7 times 2 is capped at 1, and 0.9 raised to it
+            ([0.7, 0.2, 0.9], [1.0, 0.6, 1.0]),
+            # ties keep one value
+            ([0.02, 0.02], [0.04, 0.04]),
+            ([0.3], [0.3]),
+            ([], []),
+        ],
+    )
+    def test_hand_examples(self, p, adjusted):
+        assert patterns_module._holm(p) == pytest.approx(adjusted, rel=1e-12, abs=0)
+
+
 class TestWinRateStats:
     def make_winners(self, rng, biases, n_per=60, k=40):
         rows = []
@@ -481,6 +503,8 @@ class TestWinRateStats:
         assert stats.cluster_sizes == (60, 60)
         assert stats.cluster_means[0] > stats.cluster_means[1]
         assert len(stats.pairwise_tests) == 1
+        *_, p, p_holm = stats.pairwise_tests[0]
+        assert p_holm == p  # one pair: nothing to adjust
         assert stats.densities.shape == (2, len(stats.grid))
         for dens in stats.densities:
             integral = float(np.sum((dens[1:] + dens[:-1]) / 2 * np.diff(stats.grid)))

@@ -13,6 +13,7 @@ from matchfactor import (
     apply_relative_noise,
     decompose,
     generate_synthetic,
+    ingest,
     kruskal_tensor,
     normalize_minmax,
     planted_factors,
@@ -68,6 +69,20 @@ class TestSpecValidation:
     def test_seed_must_be_non_negative(self):
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             small_spec(seed=-1)
+
+    @pytest.mark.parametrize("arena", [2**63, -(2**63) - 1])
+    def test_arena_id_beyond_int64(self, arena):
+        # ingest would refuse every record of the export
+        with pytest.raises(ValueError, match=rf"^arena_id {arena} is outside int64$"):
+            small_spec(arena_id=arena)
+
+    @pytest.mark.parametrize("arena", [2**63 - 1, -(2**63)])
+    def test_arena_id_at_the_int64_limits_is_ingested(self, tmp_path, arena):
+        dataset = generate_synthetic(small_spec(arena_id=arena)).dataset
+        dataset.write_csv(tmp_path / "d.csv")
+        result = ingest(tmp_path / "d.csv", arena_id=arena, n_matches=20)
+        assert result.dataset.player_ids == dataset.player_ids
+        np.testing.assert_array_equal(result.dataset.counts, dataset.counts)
 
     @pytest.mark.parametrize(
         "overrides",
